@@ -4,7 +4,9 @@
    loses an arbitrary subset of the cached writes (disks reorder), which
    is exactly the failure model journaling must defend against.
    [crash_media_states] enumerates the distinct post-crash media images so
-   crash-safety checking can be exhaustive rather than sampled. *)
+   crash-safety checking can be exhaustive rather than sampled.  Media
+   blocks are immutable strings shared between images, so an image is an
+   [Array.copy] of block pointers; [read]/[write] copy at the boundary. *)
 
 type pending = {
   seq : int;
@@ -15,7 +17,7 @@ type pending = {
 type t = {
   nblocks : int;
   block_size : int;
-  media : bytes array;
+  media : string array; (* immutable blocks, shared between images *)
   mutable cache : pending list; (* newest first *)
   mutable next_seq : int;
   mutable reads : int;
@@ -27,7 +29,7 @@ let create ~nblocks ~block_size =
   {
     nblocks;
     block_size;
-    media = Array.init nblocks (fun _ -> Bytes.make block_size '\000');
+    media = Array.make nblocks (String.make block_size '\000');
     cache = [];
     next_seq = 0;
     reads = 0;
@@ -51,7 +53,7 @@ let read dev blkno =
     (* The device serves reads from its cache: latest write wins. *)
     match List.find_opt (fun p -> p.blkno = blkno) dev.cache with
     | Some p -> Ok (Bytes.of_string p.data)
-    | None -> Ok (Bytes.copy dev.media.(blkno))
+    | None -> Ok (Bytes.of_string dev.media.(blkno))
   end
 
 let write dev blkno data =
@@ -66,7 +68,7 @@ let write dev blkno data =
 
 let apply_to media pendings =
   (* Oldest first so that last-write-wins per block. *)
-  List.iter (fun p -> Bytes.blit_string p.data 0 media.(p.blkno) 0 (String.length p.data))
+  List.iter (fun p -> media.(p.blkno) <- p.data)
     (List.sort (fun a b -> compare a.seq b.seq) pendings)
 
 let flush dev =
@@ -74,13 +76,13 @@ let flush dev =
   apply_to dev.media dev.cache;
   dev.cache <- []
 
-let snapshot_media dev = Array.map Bytes.copy dev.media
+let snapshot_media dev = Array.copy dev.media
 
 let of_media ~block_size media =
   {
     nblocks = Array.length media;
     block_size;
-    media = Array.map Bytes.copy media;
+    media;
     cache = [];
     next_seq = 0;
     reads = 0;
@@ -101,16 +103,17 @@ let crash_media_states dev ~limit =
   let images = ref [] in
   let seen = Hashtbl.create 16 in
   let emit mask =
-    let media = Array.map Bytes.copy dev.media in
+    let media = Array.copy dev.media in
     let subset = ref [] in
     for i = 0 to n - 1 do
       if mask land (1 lsl i) <> 0 then subset := pendings.(i) :: !subset
     done;
     apply_to media !subset;
-    let fingerprint = String.concat "" (Array.to_list (Array.map Bytes.to_string media)) in
-    let digest = Digest.string fingerprint in
-    if not (Hashtbl.mem seen digest) then begin
-      Hashtbl.replace seen digest ();
+    (* Equal images differ from the media in the same blocks, alike. *)
+    let changed b = if String.equal media.(b) dev.media.(b) then None else Some (b, media.(b)) in
+    let key = List.filter_map changed (List.sort_uniq compare (List.map (fun p -> p.blkno) !subset)) in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.replace seen key ();
       images := media :: !images
     end
   in

@@ -4,7 +4,9 @@
     loses an arbitrary subset of cached writes (disks reorder).  This is
     the failure model journaling defends against, and
     {!crash_media_states} makes it enumerable for exhaustive
-    crash-safety checking. *)
+    crash-safety checking.  Media blocks are immutable strings shared
+    between images, so an image costs [nblocks] pointers, not the disk's
+    bytes; {!read} and {!write} copy, so callers never see the sharing. *)
 
 type t
 
@@ -26,7 +28,7 @@ val flush : t -> unit
 val crash : t -> unit
 (** Drop every cached write (the canonical single crash). *)
 
-val crash_media_states : t -> limit:int -> bytes array list
+val crash_media_states : t -> limit:int -> string array list
 (** Distinct media images reachable by crashing now: any subset of cached
     writes may have survived.  Exhaustive when [2^pending <= limit];
     otherwise empty set, all prefixes, full set, and single-dropped
@@ -35,8 +37,11 @@ val crash_media_states : t -> limit:int -> bytes array list
 val crash_states : t -> limit:int -> t list
 (** {!crash_media_states} wrapped into fresh devices with empty caches. *)
 
-val snapshot_media : t -> bytes array
-val of_media : block_size:int -> bytes array -> t
+val snapshot_media : t -> string array
+(** The media without cached writes: a copy of the block pointers. *)
+
+val of_media : block_size:int -> string array -> t
+(** A device over [media] itself, not a copy: do not mutate it after. *)
 
 val reads : t -> int
 val writes : t -> int

@@ -70,7 +70,7 @@ type t = {
   trace : Ksim.Ktrace.t;
   mutable dirty : entry list; (* oldest first, at most one per blkno *)
   mutable epoch : entry list; (* newest first; the open barrier epoch *)
-  mutable history : entry list list; (* closed epochs, oldest first *)
+  mutable history : entry list list; (* closed epochs, newest first *)
   mutable next_seq : int;
   tainted : (int, int) Hashtbl.t; (* blkno -> wseq read back unflushed *)
   mutable nviolations : int;
@@ -90,9 +90,9 @@ let site t kind = t.name ^ "." ^ kind
 let flush_dropped_site t = site t "flush-dropped"
 let writeback_reorder_site t = site t "writeback-reorder"
 
-(* Every live cache, for the KSIM_WCACHE_EXPORT at_exit dump — same
-   registry idiom as [Kmem.all_heaps]. *)
-let all_caches : t list ref = ref []
+(* Every recorded violation with its cache's name, newest first: what the
+   KSIM_WCACHE_EXPORT hook writes.  It never holds a cache. *)
+let sink : (string * violation) list ref = ref []
 
 let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0)
     ?(trace = Ksim.Ktrace.global) base =
@@ -129,7 +129,6 @@ let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0)
       ignore (Ksim.Failpoint.register fp (flush_dropped_site t));
       ignore (Ksim.Failpoint.register fp (writeback_reorder_site t))
   | None -> ());
-  all_caches := t :: !all_caches;
   t
 
 let name t = t.name
@@ -167,9 +166,11 @@ let evict_one t =
 
 let record_violation t ~v_blkno ~v_read_seq ~v_write_blkno ~v_write_seq =
   t.nviolations <- t.nviolations + 1;
-  if List.length t.violations < 64 then
-    t.violations <-
-      { v_blkno; v_read_seq; v_write_blkno; v_write_seq } :: t.violations;
+  if List.length t.violations < 64 then begin
+    let v = { v_blkno; v_read_seq; v_write_blkno; v_write_seq } in
+    t.violations <- v :: t.violations;
+    sink := (t.name, v) :: !sink
+  end;
   if t.nviolations <= 8 then
     Ksim.Ktrace.emitf t.trace ~category:"incident"
       "wcache %s: barrier-discipline violation: block %d read back unflushed \
@@ -280,7 +281,7 @@ let flush t =
         | Error _ as e -> e
         | Ok () ->
             (* Barrier complete: the open epoch closes. *)
-            if t.epoch <> [] then t.history <- t.history @ [ List.rev t.epoch ];
+            if t.epoch <> [] then t.history <- List.rev t.epoch :: t.history;
             t.epoch <- [];
             Hashtbl.reset t.tainted;
             Ok ())
@@ -295,7 +296,7 @@ let crash t =
   Hashtbl.reset t.tainted
 
 let take_durable t =
-  let d = List.concat t.history in
+  let d = List.concat (List.rev t.history) in
   t.history <- [];
   d
 
@@ -306,7 +307,7 @@ let crash_frames t =
         { durable = List.rev durable; volatile = ep }
         :: go (List.rev_append ep durable) rest
   in
-  go [] t.history
+  go [] (List.rev t.history)
 
 (* Candidate landing orders for one frame's volatile set, best corners
    first.  [n <= 4]: every subset in write order, plus every permutation
@@ -455,37 +456,32 @@ let io t : Io.t =
 (* One "name\tblkno\tread_seq\twrite_blkno\twrite_seq" line per recorded
    ordering violation, the wire format klint's kdur reconciliation
    ([--wcache-violations]) consumes.  Append-mode so every test binary in
-   a suite contributes to the same file, mirroring
-   [Kmem.append_events_to_file]. *)
-let append_violations_to_file t ~path =
-  match audit t with
+   a suite contributes to the same file, mirroring [Kmem]'s export. *)
+let append_rows ~path = function
   | [] -> ()
-  | violations ->
+  | rows ->
       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () ->
-          let buf = Buffer.create 256 in
           List.iter
-            (fun v ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s\t%d\t%d\t%d\t%d\n" t.name v.v_blkno v.v_read_seq
-                   v.v_write_blkno v.v_write_seq))
-            violations;
-          output_string oc (Buffer.contents buf))
+            (fun (name, v) ->
+              Printf.fprintf oc "%s\t%d\t%d\t%d\t%d\n" name v.v_blkno v.v_read_seq
+                v.v_write_blkno v.v_write_seq)
+            rows)
 
+let append_violations_to_file t ~path =
+  append_rows ~path (List.map (fun v -> (t.name, v)) (audit t))
+
+let exported_violations () = List.rev !sink
 let export_env = "KSIM_WCACHE_EXPORT"
 
-(* When [KSIM_WCACHE_EXPORT] names a file, every process dumps each
-   cache's recorded audit violations there on exit: `scripts/ci.sh` sets
-   it across `dune runtest` so kdur can check its static R16 findings
-   against every barrier-discipline violation the suite actually
-   provoked. *)
+(* When [KSIM_WCACHE_EXPORT] names a file, every process dumps the sink
+   there on exit: `scripts/ci.sh` sets it across `dune runtest` so kdur
+   can check its static R16 findings against every barrier-discipline
+   violation the suite actually provoked. *)
 let () =
   match Sys.getenv_opt export_env with
   | Some path when path <> "" ->
-      at_exit (fun () ->
-          List.iter
-            (fun t -> try append_violations_to_file t ~path with Sys_error _ -> ())
-            !all_caches)
+      at_exit (fun () -> try append_rows ~path (exported_violations ()) with Sys_error _ -> ())
   | Some _ | None -> ()

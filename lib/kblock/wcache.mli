@@ -74,7 +74,8 @@ val crash : t -> unit
     {e barrier epoch}) plus the closed epochs since {!take_durable} was
     last called.  A consumer materializes post-crash images by replaying
     a residue over its snapshot of the media as of the last
-    {!take_durable}. *)
+    {!take_durable}.  Entry data is immutable, so over {!Blockdev}'s
+    shared blocks an image costs [nblocks] pointers plus the residue. *)
 
 val crash_frames : t -> frame list
 (** One frame per barrier interval in the retained window: the epochs
@@ -110,11 +111,16 @@ val append_violations_to_file : t -> path:string -> unit
     wire format klint's kdur reconciliation ([--wcache-violations])
     consumes.  No-op when the audit is clean. *)
 
+val exported_violations : unit -> (string * violation) list
+(** Every violation recorded in this process (bounded per cache as
+    {!audit}), oldest first, with its cache's name.  The sink holds no
+    cache, so caches stay collectable and their violations outlive them. *)
+
 val export_env : string
 (** ["KSIM_WCACHE_EXPORT"].  When set to a file path, every process
-    appends each cache's audit violations there at exit; scripts/ci.sh
-    sets it across [dune runtest] so kdur's static R16 findings are
-    checked against every violation the suite actually provoked. *)
+    appends {!exported_violations} there at exit; scripts/ci.sh sets it
+    across [dune runtest] so kdur's static R16 findings are checked
+    against every violation the suite actually provoked. *)
 
 (** {1 Counters} *)
 

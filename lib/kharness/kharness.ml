@@ -56,7 +56,7 @@ module Wdisk = struct
   type t = {
     dev : Kblock.Blockdev.t;
     wc : Kblock.Wcache.t;
-    media0 : bytes array; (* media as of the last settled epoch *)
+    media0 : string array; (* media as of the last settled epoch *)
   }
 
   let fresh_dev () =
@@ -67,23 +67,27 @@ module Wdisk = struct
     Kblock.Wcache.create ~name:"wcache" ~capacity:wcache_capacity ~seed:1
       (Kblock.Blockdev.io dev)
 
-  let apply_entry media (e : Kblock.Wcache.entry) =
-    Bytes.blit_string e.data 0 media.(e.blkno) 0 (String.length e.data)
+  let apply_entry media (e : Kblock.Wcache.entry) = media.(e.blkno) <- e.data
 
   let settle d = List.iter (apply_entry d.media0) (Kblock.Wcache.take_durable d.wc)
 
+  (* [wc] over [dev], its closed epochs folded away, media snapshotted. *)
+  let settled dev wc =
+    let (_ : Kblock.Wcache.entry list) = Kblock.Wcache.take_durable wc in
+    { dev; wc; media0 = Kblock.Blockdev.snapshot_media dev }
+
   (* Wrap an existing device (a crash image) behind a fresh cold cache. *)
-  let of_dev dev =
-    { dev; wc = wcache_over dev; media0 = Kblock.Blockdev.snapshot_media dev }
+  let of_dev dev = settled dev (wcache_over dev)
 
   (* Materialize post-crash devices: one per sampled residue, each a
-     fresh device whose media is [media0] plus the residue's writes in
-     residue order.  Folds the durable epochs afterwards. *)
+     fresh device whose media is [media0] (shared blocks: [nblocks]
+     pointers) plus the residue's writes in residue order.  Folds the
+     durable epochs afterwards. *)
   let crash_devs d ~limit =
     let devs =
       Kblock.Wcache.crash_residues d.wc ~limit
       |> List.map (fun residue ->
-             let media = Array.map Bytes.copy d.media0 in
+             let media = Array.copy d.media0 in
              List.iter (apply_entry media) residue;
              Kblock.Blockdev.of_media ~block_size:geometry.Kfs.Journalfs.block_size media)
     in
@@ -110,9 +114,7 @@ struct
       Kfs.Journalfs.mkfs_on ~geometry ~barriers:B.barriers ~io:(Kblock.Wcache.io wc)
         Kfs.Journalfs.Journaled dev
     in
-    (* mkfs ends with a flush: fold its epochs away and snapshot. *)
-    let (_ : Kblock.Wcache.entry list) = Kblock.Wcache.take_durable wc in
-    (fs, { Wdisk.dev; wc; media0 = Kblock.Blockdev.snapshot_media dev })
+    (fs, Wdisk.settled dev wc)
 
   let step fs (d : disk) op =
     (match op with Fs.Fsync -> Wdisk.settle d | _ -> ());
@@ -207,8 +209,7 @@ module Microreboot_base = struct
     let wc = Wdisk.wcache_over dev in
     let io = Kblock.Wcache.io wc in
     let fs0 = Kfs.Journalfs.mkfs_on ~geometry ~io Kfs.Journalfs.Journaled dev in
-    let (_ : Kblock.Wcache.entry list) = Kblock.Wcache.take_durable wc in
-    let wdisk = { Wdisk.dev; wc; media0 = Kblock.Blockdev.snapshot_media dev } in
+    let wdisk = Wdisk.settled dev wc in
     let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:1 () in
     let vfs = Kvfs.Vfs.create () in
     let wrap fs =

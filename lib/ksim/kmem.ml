@@ -21,44 +21,56 @@ type 'a ptr = {
 }
 
 and t = {
-  name : string;
   mutable next_id : int;
   mutable allocated : int;
   mutable freed : int;
   mutable uaf_events : int;
   mutable double_free_events : int;
   live : (int, string) Hashtbl.t; (* id -> allocation site, for leak reports *)
-  uaf_sites : (string, int) Hashtbl.t; (* allocation site -> uaf count *)
-  double_free_sites : (string, int) Hashtbl.t;
-  mutable reported_leaks : (string * int) list; (* last [leaks] snapshot, per site *)
+  events : events;
   strict : bool; (* raise on violation instead of just counting *)
 }
 
-(* Every heap ever created, so the [KSIM_KMEM_EXPORT] at_exit hook can
-   dump events without each call site having to register anything. *)
-let all_heaps : t list ref = ref []
+(* Aggregated events, apart from the heap so the sink never holds one. *)
+and events = {
+  heap_name : string;
+  counts : (string * string, int) Hashtbl.t; (* (kind, allocation site) -> count *)
+  mutable reported_leaks : (string * int) list; (* last [leaks] snapshot, per site *)
+  mutable in_sink : bool;
+}
+
+(* The events of every heap that has seen one, newest first: what the
+   [KSIM_KMEM_EXPORT] hook writes.  A heap joins at its first event. *)
+let sink : events list ref = ref []
 
 let create ?(strict = true) ~name () =
-  let heap =
-    {
-      name;
-      next_id = 0;
-      allocated = 0;
-      freed = 0;
-      uaf_events = 0;
-      double_free_events = 0;
-      live = Hashtbl.create 64;
-      uaf_sites = Hashtbl.create 8;
-      double_free_sites = Hashtbl.create 8;
-      reported_leaks = [];
-      strict;
-    }
-  in
-  all_heaps := heap :: !all_heaps;
-  heap
+  {
+    next_id = 0;
+    allocated = 0;
+    freed = 0;
+    uaf_events = 0;
+    double_free_events = 0;
+    live = Hashtbl.create 64;
+    events =
+      {
+        heap_name = name;
+        counts = Hashtbl.create 8;
+        reported_leaks = [];
+        in_sink = false;
+      };
+    strict;
+  }
 
-let bump tbl site =
-  Hashtbl.replace tbl site (1 + Option.value ~default:0 (Hashtbl.find_opt tbl site))
+let to_sink ev =
+  if not ev.in_sink then begin
+    ev.in_sink <- true;
+    sink := ev :: !sink
+  end
+
+let bump heap kind site =
+  let c = heap.events.counts in
+  Hashtbl.replace c (kind, site) (1 + Option.value ~default:0 (Hashtbl.find_opt c (kind, site)));
+  to_sink heap.events
 
 let alloc heap ~site value =
   heap.next_id <- heap.next_id + 1;
@@ -69,7 +81,7 @@ let alloc heap ~site value =
 
 let use_after_free ptr =
   ptr.heap.uaf_events <- ptr.heap.uaf_events + 1;
-  bump ptr.heap.uaf_sites ptr.site;
+  bump ptr.heap "uaf" ptr.site;
   if ptr.heap.strict then raise (Use_after_free { site = ptr.site; id = ptr.id })
 
 let read ptr =
@@ -95,7 +107,7 @@ let free ptr =
       Hashtbl.remove ptr.heap.live ptr.id
   | Freed ->
       ptr.heap.double_free_events <- ptr.heap.double_free_events + 1;
-      bump ptr.heap.double_free_sites ptr.site;
+      bump ptr.heap "double_free" ptr.site;
       if ptr.heap.strict then raise (Double_free { site = ptr.site; id = ptr.id })
 
 let is_live ptr = match ptr.state with Live _ -> true | Freed -> false
@@ -126,62 +138,41 @@ let leaks heap =
   (* A leak only exists once somebody asked at a quiescence point —
      live objects at process exit are normal — so the export snapshot
      records what the last report actually said. *)
-  heap.reported_leaks <- site_counts l;
+  heap.events.reported_leaks <- site_counts l;
+  if l <> [] then to_sink heap.events;
   l
 
-let leak_sites heap =
-  ignore (leaks heap : leak list);
-  heap.reported_leaks
-
-let uaf_sites heap =
-  Hashtbl.fold (fun s n acc -> (s, n) :: acc) heap.uaf_sites [] |> List.sort compare
-
-let double_free_sites heap =
-  Hashtbl.fold (fun s n acc -> (s, n) :: acc) heap.double_free_sites []
-  |> List.sort compare
-
 let pp_report ppf heap =
-  Fmt.pf ppf "heap %s: allocated=%d freed=%d live=%d uaf=%d double_free=%d" heap.name
+  Fmt.pf ppf "heap %s: allocated=%d freed=%d live=%d uaf=%d double_free=%d" heap.events.heap_name
     heap.allocated heap.freed (live_count heap) heap.uaf_events heap.double_free_events
 
 (* Runtime event export ---------------------------------------------------- *)
 
-(* One "kind\theap\tsite\tcount" line per aggregated event, the wire
-   format klint's kown reconciliation ([--kmem-events]) consumes.
-   Append-mode so every test binary in a suite contributes to the same
-   file, mirroring [Lockdep.append_edges_to_file]. *)
-let append_events_to_file heap ~path =
-  let rows =
-    List.map (fun (s, n) -> ("uaf", s, n)) (uaf_sites heap)
-    @ List.map (fun (s, n) -> ("double_free", s, n)) (double_free_sites heap)
-    @ List.map (fun (s, n) -> ("leak", s, n)) heap.reported_leaks
-  in
-  match rows with
-  | [] -> ()
-  | rows ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          let buf = Buffer.create 256 in
-          List.iter
-            (fun (kind, site, n) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s\t%s\t%s\t%d\n" kind heap.name site n))
-            rows;
-          output_string oc (Buffer.contents buf))
+let exported_events () =
+  List.concat_map
+    (fun ev ->
+      let row kind (site, n) = (kind, ev.heap_name, site, n) in
+      List.sort compare (Hashtbl.fold (fun (k, s) n acc -> row k (s, n) :: acc) ev.counts [])
+      @ List.map (row "leak") ev.reported_leaks)
+    (List.rev !sink)
 
 let export_env = "KSIM_KMEM_EXPORT"
 
-(* When [KSIM_KMEM_EXPORT] names a file, every process dumps all heaps'
-   aggregated events there on exit: `scripts/ci.sh` sets it across `dune
-   runtest` so kown can check its static R8-R11 findings against every
-   heap event the suite actually observed. *)
+(* When [KSIM_KMEM_EXPORT] names a file, every process appends the sink
+   there on exit, one "kind\theap\tsite\tcount" line per row (the wire
+   format klint's kown reconciliation, [--kmem-events], consumes):
+   `scripts/ci.sh` sets it across `dune runtest` so kown can check its
+   static R8-R11 findings against every heap event the suite observed. *)
 let () =
   match Sys.getenv_opt export_env with
   | Some path when path <> "" ->
       at_exit (fun () ->
-          List.iter
-            (fun heap -> try append_events_to_file heap ~path with Sys_error _ -> ())
-            !all_heaps)
+          match exported_events () with
+          | [] -> ()
+          | rows -> (
+              try
+                let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+                List.iter (fun (k, h, s, n) -> Printf.fprintf oc "%s\t%s\t%s\t%d\n" k h s n) rows;
+                close_out oc
+              with Sys_error _ -> ()))
   | Some _ | None -> ()

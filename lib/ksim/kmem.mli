@@ -45,23 +45,17 @@ type leak = { leak_id : int; leak_site : string }
 val leaks : t -> leak list
 (** Objects still live, i.e. leaked if the owning module claims quiescence. *)
 
-val leak_sites : t -> (string * int) list
-(** [leaks], aggregated per allocation site — the granularity the
-    static/runtime reconciliation keys on. *)
-
-val uaf_sites : t -> (string * int) list
-(** Use-after-free events, aggregated per allocation site. *)
-
-val double_free_sites : t -> (string * int) list
-(** Double-free events, aggregated per allocation site. *)
-
 val pp_report : Format.formatter -> t -> unit
 
-val append_events_to_file : t -> path:string -> unit
-(** Append this heap's aggregated events to [path], one
-    "kind\theap\tsite\tcount" line each — the format
-    [klint --kmem-events] reconciles against kown's static findings. *)
+val exported_events : unit -> (string * string * string * int) list
+(** [(kind, heap, site, count)] per allocation site of every heap in this
+    process: use-after-free and double-free counts, kept as detected, and
+    each heap's latest {!leaks} snapshot — the granularity the
+    static/runtime reconciliation keys on.  The process sink holding them
+    holds no heap, so heaps stay collectable and their events outlive them. *)
 
 val export_env : string
-(** ["KSIM_KMEM_EXPORT"]: when set to a file path, every heap's events
-    are appended there at process exit. *)
+(** ["KSIM_KMEM_EXPORT"]: when set to a file path, {!exported_events}
+    are appended there at process exit, one "kind\theap\tsite\tcount"
+    line each — the format [klint --kmem-events] reconciles against
+    kown's static findings. *)

@@ -118,7 +118,8 @@ KSIM_KLOAD_SEEDS="${KSIM_KLOAD_SEEDS:-7,101}" dune exec test/test_kload.exe -- t
 echo "== ci: refine smoke (krefine harnesses vs Fs_spec, coverage ratchet) =="
 # Every registered kharness machine (journalfs, cowfs, the supervised
 # microreboot path) replays a kload-recorded trace in lockstep with
-# Fs_spec, enumerating crash images as it goes.  Any divergence fails
+# Fs_spec, enumerating crash images at every op (safeos refine's default
+# cadence).  Any divergence fails
 # the run; the coverage the pass produced is then ratcheted against
 # refine.baseline inside klint (R15 keeps "Verified" registry claims
 # honest even when this stage is skipped).  KSIM_REFINE_SEEDS widens the
@@ -130,7 +131,7 @@ rm -f "$REFINE_COVERAGE"
 refine_seed="${KSIM_REFINE_SEEDS:-11}"
 refine_seed="${refine_seed%%,*}"
 dune exec bin/safeos.exe -- refine --all --seed "$refine_seed" --ops 2000 \
-  --crash-every 4 --images 4 --coverage-out "$REFINE_COVERAGE" > /dev/null \
+  --crash-every 1 --images 4 --coverage-out "$REFINE_COVERAGE" > /dev/null \
   || { echo "ci: FAIL — a krefine harness diverged from Fs_spec" >&2; exit 1; }
 KSIM_REFINE_SEEDS="${KSIM_REFINE_SEEDS:-11}" dune exec test/test_krefine.exe -- test harnesses
 if [ "${ALLOW_REFINE_REGRESS:-0}" = "1" ]; then

@@ -91,8 +91,8 @@ let test_verdict_deterministic () =
 
 let test_at_scale () =
   (* The acceptance-scale sweep: every registered harness over a >=10k-op
-     recorded trace with crash-point enumeration at every op.  Several
-     minutes of wall clock, so it only runs when asked for —
+     recorded trace with crash-point enumeration at every op.  About ten
+     seconds of wall clock on a 2-core host, so it only runs when asked for —
      KSIM_REFINE_FULL=1 (the `safeos refine` defaults run the same
      configuration from the CLI). *)
   if Sys.getenv_opt "KSIM_REFINE_FULL" <> Some "1" then ()
@@ -111,6 +111,38 @@ let test_at_scale () =
           (List.length t) cov.Krefine.crash_points)
       (Kharness.all ())
   end
+
+(* The pinned equivalence sweep (`safeos refine --all --seed 11 --ops 2000
+   --crash-every 4 --images 4`): its coverage fingerprints must stay
+   byte-identical across every change to the disk or crash model, and the
+   process's peak heap must stay under a ceiling, so a leak of crash
+   images fails here by name rather than in the OOM killer. *)
+let pinned_fingerprints =
+  [
+    ("journalfs", "ecc0a75377473a80dcd8bcc2dc1ffc0b");
+    ("cowfs", "d89a23c5a48b6a78161d8a2f15b7a0ad");
+    ("journalfs.microreboot", "20ad1a84855510aa209debcbf1203788");
+  ]
+
+let heap_ceiling_mb = 64
+
+let test_pinned_sweep () =
+  let t = trace ~target_ops:2000 ~seed:11 in
+  let config =
+    { Krefine.default_config with Krefine.seed = 11; images_per_op = 4; crash_every = 4 }
+  in
+  List.iter
+    (fun (e : Kharness.entry) ->
+      let cov = Kharness.run ~config e t in
+      let top_mb = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) / 1_000_000 in
+      if top_mb > heap_ceiling_mb then
+        Alcotest.failf "%s: peak heap %d MB over the %d MB ceiling" e.Kharness.hname top_mb
+          heap_ceiling_mb;
+      check Alcotest.string
+        (e.Kharness.hname ^ ": pinned fingerprint")
+        (List.assoc e.Kharness.hname pinned_fingerprints)
+        (Krefine.coverage_fingerprint cov))
+    (Kharness.all ())
 
 (* Divergence reporting -------------------------------------------------- *)
 
@@ -248,6 +280,8 @@ let () =
           Alcotest.test_case "microreboot refines Fs_spec" `Quick test_microreboot_refines;
           Alcotest.test_case "verdict deterministic" `Quick test_verdict_deterministic;
           Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "pinned sweep: fingerprints and heap ceiling" `Quick
+            test_pinned_sweep;
           Alcotest.test_case "at scale (KSIM_REFINE_FULL=1)" `Slow test_at_scale;
         ] );
       ( "divergence",

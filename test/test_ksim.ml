@@ -144,6 +144,30 @@ let test_kmem_is_live () =
   Ksim.Kmem.free p;
   check Alcotest.bool "dead" false (Ksim.Kmem.is_live p)
 
+(* No process-global structure may hold a heap: a dropped heap is
+   garbage, and the events it saw still reach the export sink. *)
+let[@inline never] dropped_heap () =
+  let heap = Ksim.Kmem.create ~name:"kmem-gc-probe" () in
+  let p = Ksim.Kmem.alloc heap ~site:"probe-uaf" 0 in
+  Ksim.Kmem.free p;
+  (match Ksim.Kmem.read p with _ -> () | exception Ksim.Kmem.Use_after_free _ -> ());
+  let _leaked = Ksim.Kmem.alloc heap ~site:"probe-leak" 1 in
+  ignore (Ksim.Kmem.leaks heap : Ksim.Kmem.leak list);
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some heap);
+  w
+
+let test_kmem_heap_collectable () =
+  let w = dropped_heap () in
+  Gc.full_major ();
+  check Alcotest.bool "heap collected after use" false (Weak.check w 0);
+  let rows = List.filter (fun (_, h, _, _) -> h = "kmem-gc-probe") (Ksim.Kmem.exported_events ()) in
+  check
+    Alcotest.(list (pair string (pair string int)))
+    "the collected heap's events are still exported"
+    [ ("uaf", ("probe-uaf", 1)); ("leak", ("probe-leak", 1)) ]
+    (List.map (fun (k, _, s, n) -> (k, (s, n))) rows)
+
 (* Klock ------------------------------------------------------------------- *)
 
 let test_lock_basic () =
@@ -956,6 +980,8 @@ let () =
           Alcotest.test_case "non-strict write-after-free" `Quick test_kmem_nonstrict_write_after_free;
           Alcotest.test_case "leak report" `Quick test_kmem_leaks;
           Alcotest.test_case "is_live" `Quick test_kmem_is_live;
+          Alcotest.test_case "heap collectable, events exported" `Quick
+            test_kmem_heap_collectable;
         ] );
       ( "klock",
         [

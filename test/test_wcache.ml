@@ -378,7 +378,7 @@ let cache_loss_torture seed =
   ignore (Kblock.Wcache.take_durable wc);
   let media0 = Kblock.Blockdev.snapshot_media dev in
   let apply_entry media (e : Kblock.Wcache.entry) =
-    media.(e.blkno) <- Bytes.of_string e.data
+    media.(e.blkno) <- e.data
   in
   let p = Kspec.Fs_spec.path_of_string in
   let key = "/k" in
@@ -393,7 +393,7 @@ let cache_loss_torture seed =
     List.iter
       (fun residue ->
         incr images;
-        let media = Array.map Bytes.copy media0 in
+        let media = Array.copy media0 in
         List.iter (apply_entry media) residue;
         let dev' = Kblock.Blockdev.of_media ~block_size:g.block_size media in
         let fs' = Kfs.Journalfs.mount ~geometry:g Kfs.Journalfs.Journaled dev' in
@@ -465,6 +465,58 @@ let test_harness_sweep () =
         (Kharness.all ()))
     seeds
 
+(* -- leaks: no process-global structure may hold a cache ----------------- *)
+
+let[@inline never] dropped_cache ~name ~violate =
+  let wc = Kblock.Wcache.create ~name (Kblock.Blockdev.io (mk_dev ())) in
+  ok "w0" (Kblock.Wcache.write wc 0 (blk 'a'));
+  if violate then begin
+    ignore (Kblock.Wcache.read wc 0);
+    ok "dependent w1" (Kblock.Wcache.write wc 1 (blk 'b'))
+  end;
+  ok "barrier" (Kblock.Wcache.flush wc);
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some wc);
+  w
+
+let test_cache_collectable () =
+  let w = dropped_cache ~name:"gc-probe" ~violate:false in
+  Gc.full_major ();
+  check bool "cache collected after use" false (Weak.check w 0)
+
+let test_violation_outlives_cache () =
+  let w = dropped_cache ~name:"gc-probe-violation" ~violate:true in
+  Gc.full_major ();
+  check bool "violating cache collected" false (Weak.check w 0);
+  match
+    List.filter (fun (n, _) -> n = "gc-probe-violation") (Kblock.Wcache.exported_violations ())
+  with
+  | [ (_, v) ] ->
+      check int "read-back block" 0 v.Kblock.Wcache.v_blkno;
+      check int "dependent write block" 1 v.Kblock.Wcache.v_write_blkno
+  | l -> Alcotest.failf "expected one exported violation, got %d" (List.length l)
+
+(* Memory must not grow with run length: the journalfs harness over a
+   trace and over its first half, crash images every 4 ops, must reach
+   the same top heap within 1.5x.  Crash images that outlive their check
+   make the longer run's peak grow with its image count. *)
+let test_heap_flat_in_run_length () =
+  let full = Kharness.recorded_trace ~target_ops:1200 ~seed:11 () in
+  let half = List.filteri (fun i _ -> i < List.length full / 2) full in
+  let config = { Kspec.Krefine.default_config with images_per_op = 4; crash_every = 4 } in
+  let top_after trace =
+    let cov = Kharness.run ~config Kharness.journalfs trace in
+    if not (Kspec.Krefine.is_clean cov) then
+      Alcotest.failf "journalfs diverged: %a" Kspec.Krefine.pp_coverage cov;
+    check bool "crash images checked" true (cov.Kspec.Krefine.crash_images > 0);
+    (Gc.quick_stat ()).Gc.top_heap_words
+  in
+  let at_n = top_after half in
+  let at_2n = top_after full in
+  if float_of_int at_2n > 1.5 *. float_of_int at_n then
+    Alcotest.failf "top heap grew with run length: %d words at %d ops, %d at %d ops" at_n
+      (List.length half) at_2n (List.length full)
+
 let () =
   Alcotest.run "wcache"
     [
@@ -510,5 +562,12 @@ let () =
         [
           Alcotest.test_case "cache-loss torture" `Quick test_cache_loss_torture;
           Alcotest.test_case "harness sweep" `Quick test_harness_sweep;
+        ] );
+      ( "leaks",
+        [
+          Alcotest.test_case "cache collectable after use" `Quick test_cache_collectable;
+          Alcotest.test_case "violation outlives its cache" `Quick
+            test_violation_outlives_cache;
+          Alcotest.test_case "heap flat in run length" `Quick test_heap_flat_in_run_length;
         ] );
     ]
