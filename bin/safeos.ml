@@ -261,6 +261,28 @@ let supervise () =
   Fmt.pr "@.incidents audited: %d@." (List.length (Safeos_core.Audit.incidents ()));
   if recovered && stale && failed then 0 else 1
 
+(* Wall time, words allocated (minor + major - promoted) and the peak
+   major heap around one run, for the text-mode [wall:] lines. *)
+type cost = { wall_s : float; words : float; top_heap_mb : float }
+
+let measured f =
+  let g0 = Gc.quick_stat () in
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let g1 = Gc.quick_stat () in
+  let words =
+    g1.Gc.minor_words -. g0.Gc.minor_words +. (g1.Gc.major_words -. g0.Gc.major_words)
+    -. (g1.Gc.promoted_words -. g0.Gc.promoted_words)
+  in
+  let top_heap_mb = float_of_int (g1.Gc.top_heap_words * (Sys.word_size / 8)) /. 1048576. in
+  (r, { wall_s; words; top_heap_mb })
+
+let pp_heap ~per ~n ppf c =
+  Fmt.pf ppf "peak heap %.1f MB, %.0f words/%s" c.top_heap_mb
+    (if n > 0 then c.words /. float_of_int n else 0.)
+    per
+
 (* load --------------------------------------------------------------------- *)
 
 (* The multi-tenant load harness: thousands of tenant processes over the
@@ -286,16 +308,16 @@ let load tenants ops storm_name seed spec_dsl json out =
             exit 2)
     | None -> { Kload.Spec.default with Kload.Spec.tenants; ops_per_tenant = ops }
   in
-  let t0 = Unix.gettimeofday () in
-  let { Kload.Harness.report; crashed_tenants; _ } =
-    Kload.Harness.run ~spec ~storm ~seed ()
+  let { Kload.Harness.report; crashed_tenants; _ }, cost =
+    measured (fun () -> Kload.Harness.run ~spec ~storm ~seed ())
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = cost.wall_s and executed = report.Kload.Report.executed in
   if json then Fmt.pr "%s@." (Kload.Report.to_json_string report)
   else begin
     Fmt.pr "%a@." Kload.Report.pp report;
-    Fmt.pr "wall: %.3f s (%.0f ops/s real)@." dt
-      (if dt > 0. then float_of_int report.Kload.Report.executed /. dt else 0.)
+    Fmt.pr "wall: %.3f s (%.0f ops/s real), %a@." dt
+      (if dt > 0. then float_of_int executed /. dt else 0.)
+      (pp_heap ~per:"op" ~n:executed) cost
   end;
   (match out with
   | Some path ->
@@ -354,15 +376,9 @@ let refine harnesses all_h trace_path seed images ops crash_every json out cover
       crash_every;
     }
   in
-  let t0 = Unix.gettimeofday () in
-  let results =
-    List.map
-      (fun (e : Kharness.entry) ->
-        let cov = Kharness.run ~config e trace in
-        (e, cov))
-      entries
+  let results, cost =
+    measured (fun () -> List.map (fun (e : Kharness.entry) -> (e, Kharness.run ~config e trace)) entries)
   in
-  let dt = Unix.gettimeofday () -. t0 in
   let rows =
     List.map
       (fun ((e : Kharness.entry), (cov : Kspec.Krefine.coverage)) ->
@@ -401,7 +417,12 @@ let refine harnesses all_h trace_path seed images ops crash_every json out cover
           (fun d -> Fmt.pr "    %a@." Kspec.Krefine.pp_divergence d)
           cov.Kspec.Krefine.divergences)
       results;
-  Fmt.pr "wall: %.3f s@." dt;
+  if json then Fmt.pr "wall: %.3f s@." cost.wall_s
+  else
+    Fmt.pr "wall: %.3f s, %a@." cost.wall_s
+      (pp_heap ~per:"state"
+         ~n:(List.fold_left (fun acc (_, cov) -> acc + cov.Kspec.Krefine.states_explored) 0 results))
+      cost;
   (match out with
   | Some path ->
       let oc = open_out path in

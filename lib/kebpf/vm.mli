@@ -16,7 +16,15 @@ type loaded
 val load : Insn.program -> (loaded, Verifier.rejection) result
 
 val exec : loaded -> ctx:string -> (int, trap) result
-(** Run over a context buffer; returns r0. *)
+(** Run over a context buffer; returns r0.  At most the program length
+    plus one instructions execute, a budget a verified program (jumps
+    only go forward) never exhausts.  A trapping instruction counts as
+    executed in {!stats}.
+
+    Shifts move by exactly their amount: the verifier keeps [Lsh]/[Rsh]
+    immediates in [\[0, 62\]], and a register shift by an amount outside
+    that range (negative, or 63 and up) shifts every bit out and
+    yields 0. *)
 
 val stats : loaded -> int * int
 (** (runs, total instructions executed). *)

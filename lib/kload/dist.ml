@@ -8,18 +8,33 @@ let pareto rng ~alpha ~xmin =
   xmin /. (u ** (1.0 /. alpha))
 
 (* Inverse CDF of the Pareto conditioned on [x <= xmax]: truncation by
-   construction rather than by resampling. *)
-let bounded_pareto rng ~alpha ~xmin ~xmax =
-  if alpha <= 0.0 || xmin <= 0.0 || xmax < xmin then invalid_arg "Dist.bounded_pareto";
-  let u = Ksim.Rng.float rng in
-  let l = xmin ** alpha and h = xmax ** alpha in
-  let x = (-.((u *. h) -. u *. l -. h) /. (h *. l)) ** (-1.0 /. alpha) in
-  Float.min xmax (Float.max xmin x)
+   construction rather than by resampling.  Everything that does not
+   depend on the draw is computed once, by the same float operations a
+   per-draw evaluation would use, so samples are bit-identical to it. *)
+module Bounded_pareto = struct
+  type t = {
+    xmin : int;
+    xmax : int;
+    fxmin : float;
+    fxmax : float;
+    l : float; (* xmin ** alpha *)
+    h : float; (* xmax ** alpha *)
+    hl : float; (* h *. l *)
+    exponent : float; (* -1 / alpha *)
+  }
 
-let pareto_int rng ~alpha ~xmin ~xmax =
-  if xmin <= 0 || xmax < xmin then invalid_arg "Dist.pareto_int";
-  let x = bounded_pareto rng ~alpha ~xmin:(float_of_int xmin) ~xmax:(float_of_int xmax) in
-  min xmax (max xmin (int_of_float x))
+  let create ~alpha ~xmin ~xmax =
+    if alpha <= 0.0 || xmin <= 0 || xmax < xmin then invalid_arg "Dist.Bounded_pareto.create";
+    let fxmin = float_of_int xmin and fxmax = float_of_int xmax in
+    let l = fxmin ** alpha and h = fxmax ** alpha in
+    { xmin; xmax; fxmin; fxmax; l; h; hl = h *. l; exponent = -1.0 /. alpha }
+
+  let draw t rng =
+    let u = Ksim.Rng.float rng in
+    let x = (-.((u *. t.h) -. u *. t.l -. t.h) /. t.hl) ** t.exponent in
+    let x = Float.min t.fxmax (Float.max t.fxmin x) in
+    min t.xmax (max t.xmin (int_of_float x))
+end
 
 module Zipf = struct
   type t = {

@@ -13,14 +13,22 @@ val pareto : Ksim.Rng.t -> alpha:float -> xmin:float -> float
     tail; [alpha <= 1] has infinite mean.
     @raise Invalid_argument on non-positive [alpha] or [xmin]. *)
 
-val bounded_pareto : Ksim.Rng.t -> alpha:float -> xmin:float -> xmax:float -> float
-(** Pareto truncated to [\[xmin, xmax\]] by inverse-CDF (not by
+(** Pareto truncated to [\[xmin, xmax\]] by inverse CDF (not by
     rejection), so one RNG draw per sample and the tail mass folds into
-    the bound deterministically. *)
+    the bound deterministically.  Draws are rounded down to integers —
+    think times in simulated ns, payload sizes in bytes. *)
+module Bounded_pareto : sig
+  type t
 
-val pareto_int : Ksim.Rng.t -> alpha:float -> xmin:int -> xmax:int -> int
-(** {!bounded_pareto} rounded down to an integer — think times in
-    simulated ns, payload sizes in bytes. *)
+  val create : alpha:float -> xmin:int -> xmax:int -> t
+  (** Shape [alpha], support [\[xmin, xmax\]]; the draw-independent
+      constants ([xmin ** alpha], [xmax ** alpha]) are computed here,
+      once.  @raise Invalid_argument on non-positive [alpha] or [xmin],
+      or [xmax < xmin]. *)
+
+  val draw : t -> Ksim.Rng.t -> int
+  (** One sample in [\[xmin, xmax\]], one RNG draw. *)
+end
 
 (** Zipfian ranks over a finite key space, by precomputed inverse CDF. *)
 module Zipf : sig

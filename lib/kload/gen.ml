@@ -16,6 +16,8 @@ type t = {
   spec : Spec.t;
   tenants : tenant array;
   zipf : Dist.Zipf.t;
+  size : Dist.Bounded_pareto.t;
+  think : Dist.Bounded_pareto.t;
 }
 
 (* Per-tenant stream: the registry seed scrambled with the tenant id.
@@ -43,7 +45,13 @@ let plan spec ~seed =
         let class_ix, cls = pick_weighted rng classes in
         { id; class_ix; cls; rng })
   in
-  { spec; tenants; zipf = Dist.Zipf.create ~n:spec.Spec.keyspace () }
+  {
+    spec;
+    tenants;
+    zipf = Dist.Zipf.create ~n:spec.Spec.keyspace ();
+    size = Dist.Bounded_pareto.create ~alpha:1.2 ~xmin:32 ~xmax:spec.Spec.payload;
+    think = Dist.Bounded_pareto.create ~alpha:1.3 ~xmin:200 ~xmax:200_000;
+  }
 
 let spec t = t.spec
 let tenants t = t.tenants
@@ -51,10 +59,10 @@ let tenants t = t.tenants
 (* Fixed draw count per op — kind, key, size, think — so a tenant's
    stream position depends only on how many ops it has generated. *)
 let next_op t tenant =
-  let kind = pick_weighted tenant.rng (List.map (fun (k, w) -> (k, w)) tenant.cls.Spec.mix) in
+  let kind = pick_weighted tenant.rng tenant.cls.Spec.mix in
   let key = Dist.Zipf.draw t.zipf tenant.rng in
-  let size = Dist.pareto_int tenant.rng ~alpha:1.2 ~xmin:32 ~xmax:t.spec.Spec.payload in
-  let think_ns = Dist.pareto_int tenant.rng ~alpha:1.3 ~xmin:200 ~xmax:200_000 in
+  let size = Dist.Bounded_pareto.draw t.size tenant.rng in
+  let think_ns = Dist.Bounded_pareto.draw t.think tenant.rng in
   { kind; key; size; think_ns }
 
 let class_histogram t =

@@ -124,8 +124,9 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
   (* Trace recording: every admitted FS-level operation is also announced
      to [sink] as the abstract [Fs_spec] op it intends (full VFS paths;
      [Trace.record] filters and rebases).  Emission happens once per op,
-     before the retry loop, so a recorded trace is retry-free. *)
-  let emit = match sink with None -> fun (_ : Kspec.Fs_spec.op) -> () | Some f -> f in
+     before the retry loop, so a recorded trace is retry-free.  Ops are
+     only built when a sink is attached: each call site matches on
+     [sink], and no unguarded emitter is in scope. *)
   let fsp = Kspec.Fs_spec.path_of_string in
   let total = Spec.total_ops spec in
   let stats = Ksim.Kstats.create () in
@@ -264,35 +265,47 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
 
   let ( let* ) = Ksim.Errno.( let* ) in
 
-  let meta_op (sys : Kproc.Kernel.sys) (op : Gen.op) =
-    let d = op.key mod 16 in
-    let dir = Printf.sprintf "/meta/d%d" d in
-    let file = Printf.sprintf "/meta/f%d" op.key in
+  (* Each op's path is formatted once, before its retry loop. *)
+  let meta_op tn (sys : Kproc.Kernel.sys) (op : Gen.op) cost =
     match op.key land 3 with
-    | 0 -> (
-        emit (Kspec.Fs_spec.Mkdir (fsp dir));
-        emit (Kspec.Fs_spec.Readdir (fsp "/meta"));
-        match sys.mkdir dir with
-        | Ok () | Error Ksim.Errno.EEXIST -> Result.map (fun _ -> ()) (sys.readdir "/meta")
-        | Error e -> Error e)
+    | 0 ->
+        let dir = Printf.sprintf "/meta/d%d" (op.key mod 16) in
+        (match sink with
+        | Some emit ->
+            emit (Kspec.Fs_spec.Mkdir (fsp dir));
+            emit (Kspec.Fs_spec.Readdir (fsp "/meta"))
+        | None -> ());
+        drive tn ~cost (fun () ->
+            match sys.mkdir dir with
+            | Ok () | Error Ksim.Errno.EEXIST -> Result.map (fun _ -> ()) (sys.readdir "/meta")
+            | Error e -> Error e)
     | 1 ->
-        emit (Kspec.Fs_spec.Create (fsp file));
-        let* fd = sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] file in
-        sys.close fd
+        let file = Printf.sprintf "/meta/f%d" op.key in
+        (match sink with Some emit -> emit (Kspec.Fs_spec.Create (fsp file)) | None -> ());
+        drive tn ~cost (fun () ->
+            let* fd = sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] file in
+            sys.close fd)
     | 2 ->
-        emit (Kspec.Fs_spec.Readdir (fsp "/meta"));
-        Result.map (fun _ -> ()) (sys.readdir "/meta")
-    | _ -> (
-        emit (Kspec.Fs_spec.Unlink (fsp file));
-        match sys.unlink file with Ok () | Error Ksim.Errno.ENOENT -> Ok () | Error e -> Error e)
+        (match sink with Some emit -> emit (Kspec.Fs_spec.Readdir (fsp "/meta")) | None -> ());
+        drive tn ~cost (fun () -> Result.map (fun _ -> ()) (sys.readdir "/meta"))
+    | _ ->
+        let file = Printf.sprintf "/meta/f%d" op.key in
+        (match sink with Some emit -> emit (Kspec.Fs_spec.Unlink (fsp file)) | None -> ());
+        drive tn ~cost (fun () ->
+            match sys.unlink file with
+            | Ok () | Error Ksim.Errno.ENOENT -> Ok ()
+            | Error e -> Error e)
   in
 
   let dur_file k = Printf.sprintf "/dur/k%d" k in
 
   let dread_op tn (sys : Kproc.Kernel.sys) (op : Gen.op) cost =
-    emit (Kspec.Fs_spec.Read { file = fsp (dur_file op.key); off = 0; len = op.size });
+    let file = dur_file op.key in
+    (match sink with
+    | Some emit -> emit (Kspec.Fs_spec.Read { file = fsp file; off = 0; len = op.size })
+    | None -> ());
     let attempt () =
-      match sys.openf (dur_file op.key) with
+      match sys.openf file with
       | Error Ksim.Errno.ENOENT -> Ok ()
       | Error e -> Error e
       | Ok fd ->
@@ -324,14 +337,17 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
       let v = versions.(k) in
       let payload = String.make (max 6 (op.size - version_prefix_len)) 'x' in
       let content = Printf.sprintf "v%08d:%s" v payload in
-      emit (Kspec.Fs_spec.Create (fsp (dur_file k)));
-      emit (Kspec.Fs_spec.Write { file = fsp (dur_file k); off = 0; data = content });
-      emit Kspec.Fs_spec.Fsync;
+      let file = dur_file k in
+      (match sink with
+      | Some emit ->
+          let path = fsp file in
+          emit (Kspec.Fs_spec.Create path);
+          emit (Kspec.Fs_spec.Write { file = path; off = 0; data = content });
+          emit Kspec.Fs_spec.Fsync
+      | None -> ());
       let epoch0 = Kvfs.Vfs.epoch_at vfs dur_path in
       let attempt () =
-        let* fd =
-          sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] (dur_file k)
-        in
+        let* fd = sys.openf ~flags:[ Kvfs.File_ops.O_CREAT; Kvfs.File_ops.O_WRONLY ] file in
         let res =
           let* _n = sys.write fd content in
           sys.fsync ()
@@ -383,11 +399,15 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
 
   let churn_op tn (sys : Kproc.Kernel.sys) (op : Gen.op) cost =
     let file = Printf.sprintf "/svc/c%d" (op.key mod 32) in
-    (match op.key land 1 with
-    | 0 ->
-        emit (Kspec.Fs_spec.Create (fsp file));
-        emit (Kspec.Fs_spec.Write { file = fsp file; off = 0; data = "churn" })
-    | _ -> emit (Kspec.Fs_spec.Unlink (fsp file)));
+    (match sink with
+    | Some emit -> (
+        match op.key land 1 with
+        | 0 ->
+            let path = fsp file in
+            emit (Kspec.Fs_spec.Create path);
+            emit (Kspec.Fs_spec.Write { file = path; off = 0; data = "churn" })
+        | _ -> emit (Kspec.Fs_spec.Unlink (fsp file)))
+    | None -> ());
     let attempt () =
       match op.key land 1 with
       | 0 ->
@@ -403,6 +423,19 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
           | Error e -> Error e)
     in
     drive tn ~cost attempt
+  in
+
+  (* Per-kind latency histograms, resolved on a kind's first op so the
+     stats table only ever names the kinds that ran. *)
+  let lat_hists = Array.make (List.length Spec.all_kinds) None in
+  let lat_hist kind =
+    let i = Spec.kind_id kind in
+    match lat_hists.(i) with
+    | Some h -> h
+    | None ->
+        let h = Ksim.Kstats.hist stats ("kload.lat." ^ Spec.kind_name kind) in
+        lat_hists.(i) <- Some h;
+        h
   in
 
   let tenant_prog (tn : Gen.tenant) (sys : Kproc.Kernel.sys) =
@@ -429,14 +462,14 @@ let run ?(spec = Spec.default) ?(storm = Mixed) ?admission ?sink ~seed () =
           let cost = ref (base_cost op) in
           let res =
             match op.kind with
-            | Spec.Meta -> drive tn.id ~cost (fun () -> meta_op sys op)
+            | Spec.Meta -> meta_op tn.id sys op cost
             | Spec.Data_write -> dwrite_op tn.id sys op cost
             | Spec.Data_read -> dread_op tn.id sys op cost
             | Spec.Net -> net_op tn.id sys op cost
             | Spec.Churn -> churn_op tn.id sys op cost
           in
           clock := !clock + !cost;
-          Ksim.Kstats.observe stats ("kload.lat." ^ Spec.kind_name op.kind) !cost;
+          Ksim.Hist.record (lat_hist op.kind) !cost;
           (match res with
           | Ok () ->
               ok.(tn.id) <- ok.(tn.id) + 1;

@@ -68,7 +68,7 @@ let validate t =
   if t.tenants <= 0 then Error "tenants must be positive"
   else if t.ops_per_tenant <= 0 then Error "ops must be positive"
   else if t.keyspace <= 0 then Error "keyspace must be positive"
-  else if t.payload < 16 then Error "payload must be at least 16 bytes"
+  else if t.payload < 32 then Error "payload must be at least 32 bytes (the smallest op size)"
   else if t.classes = [] then Error "at least one tenant class required"
   else if List.exists (fun c -> c.weight <= 0) t.classes then
     Error "class weights must be positive"

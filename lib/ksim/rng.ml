@@ -2,16 +2,25 @@
    component of the simulator takes an explicit [Rng.t] so that runs are
    reproducible from a seed. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a mutable
+   [int64] field would box a fresh Int64 on every draw.  The byte order
+   is the host's, which is invisible outside this module. *)
+type t = bytes
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
+
 let of_int seed = create (Int64.of_int seed)
 
 let golden = 0x9E3779B97F4A7C15L
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+(* Inlined into every drawing function below, so the output stays an
+   unboxed machine word from the state update to the final conversion. *)
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)

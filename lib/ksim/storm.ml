@@ -5,7 +5,10 @@
    nondeterminism — it only decides *when* each site is armed and with
    what composed knobs.  [tick] re-applies a site's configuration only
    when its set of covering bursts changes (a "window boundary"); in
-   between, the site's live [times] countdown drains undisturbed. *)
+   between, the site's live [times] countdown drains undisturbed.  The
+   covering sets only change at a burst start or stop, so [tick] caches
+   the window between the nearest boundaries around the last applied
+   tick and returns at once while [now] stays inside it. *)
 
 type burst = {
   site : string;
@@ -18,12 +21,27 @@ type burst = {
 type t = {
   fp : Failpoint.t;
   mutable bursts : burst list;
+  (* Each managed site, in site order, with its bursts and their indices
+     into [bursts]. *)
+  mutable sites : (string * (int * burst) list) list;
+  (* Every burst start and stop, sorted and deduplicated. *)
+  mutable bounds : int array;
   (* site -> indices (into [bursts]) of the window last applied; [] for
      "disabled by us".  Absent = never touched. *)
   applied : (string, int list) Hashtbl.t;
+  (* [lo, hi): the window of the last applied tick.  No boundary lies
+     strictly inside it, so every covering set is constant on it.  Empty
+     ([lo > hi]) until a tick applies one. *)
+  mutable lo : int;
+  mutable hi : int;
 }
 
-let create ~fp () = { fp; bursts = []; applied = Hashtbl.create 8 }
+let invalidate t =
+  t.lo <- 1;
+  t.hi <- 0
+
+let create ~fp () =
+  { fp; bursts = []; sites = []; bounds = [||]; applied = Hashtbl.create 8; lo = 1; hi = 0 }
 
 let add t schedule =
   List.iter
@@ -37,16 +55,19 @@ let add t schedule =
         match String.compare a.site b.site with
         | 0 -> ( match compare a.start b.start with 0 -> compare a.stop b.stop | c -> c)
         | c -> c)
-      (t.bursts @ schedule)
+      (t.bursts @ schedule);
+  let indexed = List.mapi (fun i b -> (i, b)) t.bursts in
+  t.sites <-
+    List.map
+      (fun site -> (site, List.filter (fun (_, b) -> String.equal b.site site) indexed))
+      (List.sort_uniq String.compare (List.map (fun b -> b.site) t.bursts));
+  t.bounds <-
+    Array.of_list (List.sort_uniq compare (List.concat_map (fun b -> [ b.start; b.stop ]) t.bursts));
+  invalidate t
 
 let bursts t = t.bursts
 
-let sites t =
-  List.sort_uniq String.compare (List.map (fun b -> b.site) t.bursts)
-
-let covering t site now =
-  List.mapi (fun i b -> (i, b)) t.bursts
-  |> List.filter (fun (_, b) -> String.equal b.site site && b.start <= now && now < b.stop)
+let covering bursts now = List.filter (fun (_, b) -> b.start <= now && now < b.stop) bursts
 
 (* Composed knobs for a covering set: independent fault sources, so
    probabilities combine as 1 - prod(1-p); finite budgets sum, an
@@ -59,10 +80,10 @@ let compose cover =
   in
   (prob, times)
 
-let tick t now =
+let apply t now =
   List.iter
-    (fun site ->
-      let cover = covering t site now in
+    (fun (site, bursts) ->
+      let cover = covering bursts now in
       let signature = List.map fst cover in
       let last = Hashtbl.find_opt t.applied site in
       if last <> Some signature then begin
@@ -73,18 +94,30 @@ let tick t now =
             let probability, times = compose cover in
             Failpoint.configure t.fp site ~enabled:true ~probability ~times ()
       end)
-    (sites t)
+    t.sites
+
+let tick t now =
+  if not (t.lo <= now && now < t.hi) then begin
+    apply t now;
+    let lo = ref min_int and hi = ref max_int in
+    Array.iter
+      (fun b -> if b <= now then (if b > !lo then lo := b) else if b < !hi then hi := b)
+      t.bounds;
+    t.lo <- !lo;
+    t.hi <- !hi
+  end
 
 let disable t =
-  List.iter (fun site -> Failpoint.configure t.fp site ~enabled:false ()) (sites t);
-  Hashtbl.reset t.applied
+  List.iter (fun (site, _) -> Failpoint.configure t.fp site ~enabled:false ()) t.sites;
+  Hashtbl.reset t.applied;
+  invalidate t
 
 let active t now =
   List.filter_map
-    (fun site ->
-      match covering t site now with
+    (fun (site, bursts) ->
+      match covering bursts now with
       | [] -> None
       | cover ->
           let probability, times = compose cover in
           Some (site, probability, times))
-    (sites t)
+    t.sites

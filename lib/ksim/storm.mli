@@ -48,7 +48,10 @@ val bursts : t -> burst list
 val tick : t -> int -> unit
 (** Advance storm time to [now]: reconfigure every managed site whose
     set of covering bursts changed since the last applied window.
-    Cheap when nothing changed. *)
+    [now] may move in either direction.  O(1) while [now] stays between
+    the nearest burst boundaries (starts and stops) around the last
+    applied tick; crossing a boundary, or the first tick after {!add} or
+    {!disable}, recomputes every managed site in O(sites × bursts). *)
 
 val disable : t -> unit
 (** Kill the storm mid-burst: disable every managed site and forget the

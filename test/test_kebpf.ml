@@ -163,6 +163,54 @@ let test_vm_div_zero_trap () =
   | Ok _ -> fail "expected trap"
   | Error trap -> fail (Kebpf.Vm.trap_to_string trap)
 
+(* Trap results and run statistics pinned exactly: a trap is an [Error]
+   naming the faulting pc, and the trapping instruction counts as
+   executed.  [Fuel_exhausted] cannot be reached by a verified program,
+   so it is pinned as unreachable: a run that executes every instruction
+   of its program still ends in [Ok]. *)
+let test_vm_trap_golden () =
+  let open Kebpf.Insn in
+  let trap = Alcotest.testable (Fmt.of_to_string Kebpf.Vm.trap_to_string) ( = ) in
+  let result = Alcotest.result Alcotest.int trap in
+  let twice prog ctx expected (runs, insns) =
+    let loaded = load_ok prog in
+    check result "first run" expected (Kebpf.Vm.exec loaded ~ctx);
+    check result "second run" expected (Kebpf.Vm.exec loaded ~ctx);
+    check Alcotest.(pair int int) "stats (runs, insns)" (runs, insns) (Kebpf.Vm.stats loaded)
+  in
+  twice
+    [| Mov_imm (R0, 7); Mov_imm (R2, 0); Alu_reg (Div, R0, R2); Exit |]
+    "" (Error (Kebpf.Vm.Division_by_zero { pc = 2 })) (2, 6);
+  twice
+    [| Mov_imm (R2, 1); Ld_ctx (R0, R2, 3); Exit |]
+    "abc"
+    (Error (Kebpf.Vm.Ctx_out_of_bounds { pc = 1; offset = 4; len = 3 }))
+    (2, 4);
+  twice [| Mov_imm (R0, 1); Mov_imm (R0, 2); Mov_imm (R0, 3); Exit |] "" (Ok 3) (2, 8);
+  (* Forward jumps only skip instructions, so no path is longer. *)
+  twice
+    [| Mov_imm (R0, 1); Jcond (Eq, R0, 1, 1); Mov_imm (R0, 2); Jmp 0; Exit |]
+    "" (Ok 1) (2, 8)
+
+(* Shifts run by exactly the verified amount (an odd immediate used to
+   run as the even shift below it); a register shift by an amount
+   outside [0, 62] shifts every bit out. *)
+let test_vm_shifts () =
+  let open Kebpf.Insn in
+  let run prog = exec_ok (load_ok prog) "" in
+  check Alcotest.int "3 lsl 1" 6 (run [| Mov_imm (R0, 3); Alu_imm (Lsh, R0, 1); Exit |]);
+  check Alcotest.int "100 lsr 3" 12 (run [| Mov_imm (R0, 100); Alu_imm (Rsh, R0, 3); Exit |]);
+  check Alcotest.int "1 lsl 62" min_int (run [| Mov_imm (R0, 1); Alu_imm (Lsh, R0, 62); Exit |]);
+  let by_reg op a b = run [| Mov_imm (R0, a); Mov_imm (R2, b); Alu_reg (op, R0, R2); Exit |] in
+  check Alcotest.int "reg 5 lsl 3" 40 (by_reg Lsh 5 3);
+  check Alcotest.int "reg 40 lsr 3" 5 (by_reg Rsh 40 3);
+  check Alcotest.int "reg -1 lsr 62" 1 (by_reg Rsh (-1) 62);
+  List.iter
+    (fun amount ->
+      check Alcotest.int (Printf.sprintf "reg lsl %d" amount) 0 (by_reg Lsh 5 amount);
+      check Alcotest.int (Printf.sprintf "reg lsr %d" amount) 0 (by_reg Rsh (-1) amount))
+    [ 63; 64; 65; 1000; -1; min_int ]
+
 let test_vm_branches () =
   let classify =
     [|
@@ -368,6 +416,8 @@ let () =
           Alcotest.test_case "div-zero trap" `Quick test_vm_div_zero_trap;
           Alcotest.test_case "branches" `Quick test_vm_branches;
           Alcotest.test_case "stats" `Quick test_vm_stats;
+          Alcotest.test_case "trap results and stats pinned" `Quick test_vm_trap_golden;
+          Alcotest.test_case "shifts by the verified amount" `Quick test_vm_shifts;
         ] );
       ( "attach",
         [

@@ -57,8 +57,9 @@ let test_spec_rejects () =
 
 let test_dist_shapes () =
   let rng = Ksim.Rng.of_int 9 in
+  let think = Kload.Dist.Bounded_pareto.create ~alpha:1.3 ~xmin:200 ~xmax:200_000 in
   for _ = 1 to 2000 do
-    let x = Kload.Dist.pareto_int rng ~alpha:1.3 ~xmin:200 ~xmax:200_000 in
+    let x = Kload.Dist.Bounded_pareto.draw think rng in
     if x < 200 || x > 200_000 then fail "pareto out of bounds"
   done;
   let z = Kload.Dist.Zipf.create ~n:16 () in
@@ -262,9 +263,43 @@ let test_extra_seeds () =
       ())
     extra_seeds
 
+(* Allocation ceiling: words allocated per executed op over the CI kload
+   smoke (500 tenants, mixed storm, seed 42), set-up included, counted
+   as minor + major - promoted words so the figure is the program's own
+   allocation, independent of GC timing.  The count depends on the seed
+   and on process-global state that earlier runs leave behind: a second
+   [Harness.run] in the same process counts about 4% more.  So this case
+   runs first in the binary, where it measures 774.0 words/op with the
+   whole suite and 775.1 run alone, the same on every invocation.  The
+   ceiling is 1.25x the higher figure, low enough that a storm
+   recomputed on every tick fails it. *)
+let alloc_base_words_per_op = 775.0
+let alloc_ceiling_words_per_op = 1.25 *. alloc_base_words_per_op
+
+let test_alloc_ceiling () =
+  let spec = { Kload.Spec.default with Kload.Spec.tenants = 500 } in
+  let words () =
+    let g = Gc.quick_stat () in
+    g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+  in
+  let w0 = words () in
+  let r = Kload.Harness.run ~spec ~storm:Kload.Harness.Mixed ~seed:42 () in
+  let w1 = words () in
+  let executed = r.Kload.Harness.report.Kload.Report.executed in
+  let per_op = (w1 -. w0) /. float_of_int executed in
+  Printf.printf "kload smoke: %.1f words allocated per executed op (%d ops; ceiling %.0f)\n"
+    per_op executed alloc_ceiling_words_per_op;
+  if per_op > alloc_ceiling_words_per_op then
+    fail
+      (Printf.sprintf "kload allocation ceiling: %.1f words/op > %.0f (1.25 x %.0f)" per_op
+         alloc_ceiling_words_per_op alloc_base_words_per_op)
+
 let () =
   Alcotest.run "kload"
     [
+      (* First: see [test_alloc_ceiling]. *)
+      ( "alloc",
+        [ Alcotest.test_case "allocation ceiling (words per op)" `Quick test_alloc_ceiling ] );
       ( "spec",
         [
           Alcotest.test_case "dsl round-trip" `Quick test_spec_roundtrip;

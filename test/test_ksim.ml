@@ -490,6 +490,50 @@ let test_rng_split_independent () =
   let ys = List.init 10 (fun _ -> Ksim.Rng.int c 1_000_000) in
   check Alcotest.bool "streams differ" true (xs <> ys)
 
+(* Golden outputs pinned from the SplitMix64 reference: any change to the
+   state representation must keep every stream bit-identical, because
+   every same-seed fingerprint in the repo is a function of them. *)
+let test_rng_golden () =
+  let hex b =
+    String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+  in
+  List.iter
+    (fun (seed, nexts, ints, floats, split, after, bytes) ->
+      let r = Ksim.Rng.create seed in
+      let name what = Printf.sprintf "seed %Ld: %s" seed what in
+      check Alcotest.(list int64) (name "next") nexts (List.init 4 (fun _ -> Ksim.Rng.next r));
+      check Alcotest.(list int) (name "int 1000") ints (List.init 4 (fun _ -> Ksim.Rng.int r 1000));
+      List.iter
+        (fun f -> check Alcotest.bool (name (Printf.sprintf "float %h" f)) true (Ksim.Rng.float r = f))
+        floats;
+      let s = Ksim.Rng.split r in
+      check Alcotest.int64 (name "split stream") split (Ksim.Rng.next s);
+      check Alcotest.int64 (name "parent after split") after (Ksim.Rng.next r);
+      check Alcotest.string (name "bytes 8") bytes (hex (Ksim.Rng.bytes r 8)))
+    [
+      ( 0L,
+        [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L; -537132696929009172L ],
+        [ 686; 522; 728; 735 ],
+        [ 0x1.f72bc4820e4c4p-3; 0x1.e77091186d196p-1; 0x1.95fbb374f2c4ep-2 ],
+        1610036449582822964L,
+        -8781561602181964933L,
+        "4b462a95e1d96bb5" );
+      ( 42L,
+        [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L; 6349198060258255764L ],
+        [ 812; 265; 231; 977 ],
+        [ 0x1.5c16e1dc2cf5ep-2; 0x1.3ca9ae7052feep-1; 0x1.a3a39253bad8cp-3 ],
+        -369981776645749888L,
+        -8976257307478440218L,
+        "6db7fc9d878118fa" );
+      ( 0x0123456789ABCDEFL,
+        [ 1547611027431991965L; -3066016094752747373L; 3427440727199435966L; -6713713436388857876L ],
+        [ 938; 436; 625; 252 ],
+        [ 0x1.f309b69de29fbp-1; 0x1.3406832e5b9f4p-3; 0x1.9b71939b34c5bp-1 ],
+        2260131620894300375L,
+        -8162064372723124409L,
+        "4e73fd564120ebff" );
+    ]
+
 let rng_int_in_bounds =
   QCheck2.Test.make ~name:"rng.int always within bounds" ~count:500
     QCheck2.Gen.(pair int (int_range 1 10_000))
@@ -952,6 +996,119 @@ let test_storm_replay_determinism () =
   check Alcotest.bool "the storm actually injected" true (injected > 0);
   check Alcotest.int "schedule records every injection" injected (List.length schedule)
 
+(* The reference model for [Storm.tick]: recompute every site's covering
+   set from scratch on every tick, exactly as the composition semantics
+   in storm.mli state it.  The real storm caches the window between
+   burst boundaries; driven in lockstep over two registries with the
+   same seed, both must leave every site identically configured. *)
+module Ref_storm = struct
+  type t = {
+    fp : Ksim.Failpoint.t;
+    mutable bursts : Ksim.Storm.burst list;
+    applied : (string, int list) Hashtbl.t;
+  }
+
+  let create fp = { fp; bursts = []; applied = Hashtbl.create 8 }
+
+  let add t schedule =
+    t.bursts <-
+      List.stable_sort
+        (fun (a : Ksim.Storm.burst) (b : Ksim.Storm.burst) ->
+          compare (a.site, a.start, a.stop) (b.site, b.start, b.stop))
+        (t.bursts @ schedule)
+
+  let sites t = List.sort_uniq String.compare (List.map (fun b -> b.Ksim.Storm.site) t.bursts)
+
+  let tick t now =
+    List.iter
+      (fun site ->
+        let cover =
+          List.mapi (fun i b -> (i, b)) t.bursts
+          |> List.filter (fun (_, (b : Ksim.Storm.burst)) ->
+                 b.site = site && b.start <= now && now < b.stop)
+        in
+        let signature = List.map fst cover in
+        if Hashtbl.find_opt t.applied site <> Some signature then begin
+          Hashtbl.replace t.applied site signature;
+          match cover with
+          | [] -> Ksim.Failpoint.configure t.fp site ~enabled:false ()
+          | _ ->
+              let probability =
+                1.0
+                -. List.fold_left
+                     (fun acc (_, (b : Ksim.Storm.burst)) -> acc *. (1.0 -. b.probability))
+                     1.0 cover
+              in
+              let times =
+                if List.exists (fun (_, (b : Ksim.Storm.burst)) -> b.times < 0) cover then -1
+                else List.fold_left (fun acc (_, (b : Ksim.Storm.burst)) -> acc + b.times) 0 cover
+              in
+              Ksim.Failpoint.configure t.fp site ~enabled:true ~probability ~times ()
+        end)
+      (sites t)
+
+  let disable t =
+    List.iter (fun site -> Ksim.Failpoint.configure t.fp site ~enabled:false ()) (sites t);
+    Hashtbl.reset t.applied
+end
+
+let test_storm_cache_matches_reference () =
+  let site_state (s : Ksim.Failpoint.site) =
+    Printf.sprintf "%s enabled=%b p=%h interval=%d times=%d hits=%d injected=%d" s.name s.enabled
+      s.probability s.interval s.times s.hits s.injected
+  in
+  for seed = 1 to 40 do
+    let rng = Ksim.Rng.of_int seed in
+    let schedule () =
+      List.init
+        (1 + Ksim.Rng.int rng 4)
+        (fun _ ->
+          let start = Ksim.Rng.int rng 60 in
+          {
+            Ksim.Storm.site = Ksim.Rng.pick rng [ "a"; "b"; "c"; "d" ];
+            start;
+            stop = start + 1 + Ksim.Rng.int rng 20;
+            probability = Ksim.Rng.pick rng [ 0.0; 0.3; 0.5; 1.0 ];
+            times = Ksim.Rng.int rng 6 - 1;
+          })
+    in
+    let fp_real = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed () in
+    let fp_ref = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed () in
+    let real = Ksim.Storm.create ~fp:fp_real () and model = Ref_storm.create fp_ref in
+    let first = schedule () in
+    Ksim.Storm.add real first;
+    Ref_storm.add model first;
+    let now = ref 0 in
+    for step = 1 to 300 do
+      (match Ksim.Rng.int rng 20 with
+      | 0 ->
+          (* Mid-burst kill: the next tick re-arms from scratch. *)
+          Ksim.Storm.disable real;
+          Ref_storm.disable model
+      | 1 ->
+          let more = schedule () in
+          Ksim.Storm.add real more;
+          Ref_storm.add model more
+      | 2 | 3 -> now := Ksim.Rng.int rng 100 - 10 (* non-monotonic time *)
+      | 4 -> () (* the same tick twice *)
+      | _ -> incr now);
+      Ksim.Storm.tick real !now;
+      Ref_storm.tick model !now;
+      (* Hit every site so the live [times] countdowns drain. *)
+      List.iter
+        (fun site ->
+          let a = Ksim.Failpoint.should_fail fp_real site in
+          let b = Ksim.Failpoint.should_fail fp_ref site in
+          if a <> b then fail (Printf.sprintf "seed %d step %d: %s fired differently" seed step site))
+        [ "a"; "b"; "c"; "d" ];
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "seed %d step %d (now %d): every site configured alike" seed step !now)
+        (List.map site_state (Ksim.Failpoint.sites fp_ref))
+        (List.map site_state (Ksim.Failpoint.sites fp_real))
+    done
+  done
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -1020,6 +1177,7 @@ let () =
       ( "rng",
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic
         :: Alcotest.test_case "split independence" `Quick test_rng_split_independent
+        :: Alcotest.test_case "golden outputs" `Quick test_rng_golden
         :: qcheck [ rng_int_in_bounds; rng_float_in_unit; rng_shuffle_permutation; rng_pick_member ]
       );
       ( "failpoint",
@@ -1065,5 +1223,7 @@ let () =
             test_storm_overlap_composition;
           Alcotest.test_case "disable mid-burst" `Quick test_storm_disable_mid_burst;
           Alcotest.test_case "replay determinism" `Quick test_storm_replay_determinism;
+          Alcotest.test_case "window cache matches per-tick recompute" `Quick
+            test_storm_cache_matches_reference;
         ] );
     ]
