@@ -751,7 +751,13 @@ let tcb json =
       2
   | Some root ->
       let t = Klint.Ktcb.analyze_tree ~root in
-      if json then begin
+      if t.Klint.Ktcb.parse_errors <> [] then begin
+        List.iter
+          (fun (file, msg) -> Fmt.epr "safeos tcb: parse error in %s:@.%s@." file msg)
+          t.Klint.Ktcb.parse_errors;
+        2
+      end
+      else if json then begin
         Fmt.pr "%s@." (Klint.Report.tcb_json t);
         0
       end

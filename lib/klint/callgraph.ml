@@ -8,7 +8,12 @@
    same-file definitions preferred for unqualified calls and ambiguous
    names left unresolved rather than guessed.  Unresolved calls are
    assumed lock-neutral — the documented unsoundness kracer's
-   runtime-graph reconciliation exists to catch. *)
+   runtime-graph reconciliation exists to catch.
+
+   One graph serves the whole tree: {!Engine.lint_tree} builds it once
+   and each pass takes the {!restrict}ion it needs, so every [.mli] is
+   parsed once per lint and each call site's resolution is computed once
+   per graph. *)
 
 open Parsetree
 
@@ -25,6 +30,11 @@ let name func = String.concat "." func.qualname
 type t = {
   funcs : func list;  (** in definition order, deterministic *)
   by_last : (string, func list) Hashtbl.t;  (** last component -> candidates *)
+  mli_errors : (string * string) list;
+      (** [.mli] files that failed to parse, with their messages: their
+          contracts are missing from [funcs], so the lint must not pass *)
+  resolved : (string * string list, func option) Hashtbl.t;
+      (** [resolve]'s memo, keyed by (caller file, path) *)
 }
 
 (* Collection ------------------------------------------------------------- *)
@@ -89,34 +99,18 @@ let rec collect_sig_annots ~prefix signature =
       | _ -> [])
     signature
 
+(* The [.mli] annotations of [rel_ml], or the interface's parse error. *)
 let mli_annots ~root rel_ml =
-  let mli = Filename.concat root (Filename.remove_extension rel_ml ^ ".mli") in
-  if not (Sys.file_exists mli) then []
+  let mli = Filename.remove_extension rel_ml ^ ".mli" in
+  if not (Sys.file_exists (Filename.concat root mli)) then Ok []
   else
-    match Pparse.parse_interface ~tool_name:"klint" mli with
-    | signature ->
-        collect_sig_annots ~prefix:[ module_name_of_file rel_ml ] signature
-    | exception _ -> []
+    match Kparse.parse_interface (Filename.concat root mli) with
+    | Ok signature -> Ok (collect_sig_annots ~prefix:[ module_name_of_file rel_ml ] signature)
+    | Error msg -> Error (mli, msg)
 
 (* Build ------------------------------------------------------------------ *)
 
-let build ~root files =
-  let funcs =
-    List.concat_map
-      (fun (rel, structure) ->
-        let prefix = [ module_name_of_file rel ] in
-        let funcs = collect_structure ~file:rel ~prefix structure in
-        match mli_annots ~root rel with
-        | [] -> funcs
-        | sig_annots ->
-            List.map
-              (fun f ->
-                match List.assoc_opt f.qualname sig_annots with
-                | Some a -> { f with annot = Annot.union f.annot a }
-                | None -> f)
-              funcs)
-      files
-  in
+let of_funcs funcs ~mli_errors =
   let by_last = Hashtbl.create 256 in
   List.iter
     (fun f ->
@@ -125,7 +119,49 @@ let build ~root files =
           Hashtbl.replace by_last last (f :: (Option.value ~default:[] (Hashtbl.find_opt by_last last)))
       | [] -> ())
     funcs;
-  { funcs; by_last }
+  { funcs; by_last; mli_errors; resolved = Hashtbl.create 1024 }
+
+let build ~root files =
+  let mli_errors = ref [] in
+  let funcs =
+    List.concat_map
+      (fun (rel, structure) ->
+        let prefix = [ module_name_of_file rel ] in
+        let funcs = collect_structure ~file:rel ~prefix structure in
+        match mli_annots ~root rel with
+        | Ok [] -> funcs
+        | Ok sig_annots ->
+            List.map
+              (fun f ->
+                match List.assoc_opt f.qualname sig_annots with
+                | Some a -> { f with annot = Annot.union f.annot a }
+                | None -> f)
+              funcs
+        | Error err ->
+            mli_errors := err :: !mli_errors;
+            funcs)
+      files
+  in
+  of_funcs funcs ~mli_errors:(List.rev !mli_errors)
+
+(* [restrict t ~keep]: the graph [build] makes over the files [keep]
+   accepts — the same functions in the same order, sharing [t]'s
+   records — without parsing anything again.  Each pass restricts the
+   whole-tree graph by its own exclusion list. *)
+let restrict t ~keep =
+  of_funcs
+    (List.filter (fun f -> keep f.file) t.funcs)
+    ~mli_errors:
+      (List.filter
+         (fun (mli, _) -> keep (Filename.remove_extension mli ^ ".ml"))
+         t.mli_errors)
+
+(* A pass's graph over [files] minus those [keep] rejects: [cg], the
+   whole-tree graph over [files], restricted, or a fresh build. *)
+let for_pass ?cg ~root ~keep files =
+  match cg with
+  | Some cg -> restrict cg ~keep
+  | None -> build ~root (List.filter (fun (rel, _) -> keep rel) files)
 
 (* Resolution ------------------------------------------------------------- *)
 
@@ -140,8 +176,10 @@ let rec is_prefix a b =
    Qualified calls match on reversed-module-path prefix compatibility
    (so [Kvfs.Vtypes.f] and [Vtypes.f] both reach [Vtypes.f]); unqualified
    calls prefer the latest same-file definition (lexical shadowing,
-   approximately) and otherwise require a unique global candidate. *)
-let resolve t ~caller path =
+   approximately) and otherwise require a unique global candidate.  The
+   answer depends on [caller.file], [path] and [t] alone, so it is
+   memoised in [t]. *)
+let resolve_uncached t ~file path =
   match List.rev path with
   | [] -> None
   | last :: rev_mods -> (
@@ -152,7 +190,7 @@ let resolve t ~caller path =
           match rev_mods with
           | [] -> (
               match
-                List.filter (fun f -> String.equal f.file caller.file) candidates
+                List.filter (fun f -> String.equal f.file file) candidates
               with
               | [] -> ( match candidates with [ f ] -> Some f | _ -> None)
               | same_file ->
@@ -168,6 +206,15 @@ let resolve t ~caller path =
               | [] -> None
               | several -> (
                   (* prefer a same-file match, else ambiguous *)
-                  match List.filter (fun f -> String.equal f.file caller.file) several with
+                  match List.filter (fun f -> String.equal f.file file) several with
                   | [ f ] -> Some f
                   | _ -> None ) ) ) )
+
+let resolve t ~caller path =
+  let key = (caller.file, path) in
+  match Hashtbl.find_opt t.resolved key with
+  | Some r -> r
+  | None ->
+      let r = resolve_uncached t ~file:caller.file path in
+      Hashtbl.add t.resolved key r;
+      r

@@ -128,8 +128,8 @@ let clean_state =
 
 (* [summarize cg lookup func] walks [func] under the interprocedural
    summaries [lookup] and returns the function's own transfer.  [emit]
-   receives findings — the fixpoint passes [ignore], the final reporting
-   pass collects. *)
+   receives findings; {!Fixpoint} keeps those of each function's last
+   evaluation. *)
 let summarize ?(emit = fun (_ : Finding.t) -> ()) (cg : Callgraph.t)
     (lookup : string -> summary) (func : Callgraph.func) : summary =
   let fname = Callgraph.name func in

@@ -57,7 +57,8 @@ let lint_file ~root rel : file_result =
 
 type tree_result = {
   findings : Finding.t list; (* sorted by file/line/rule; includes kracer's *)
-  parse_errors : (string * string) list; (* file, message *)
+  parse_errors : (string * string) list;
+      (* file, message: every .ml and .mli that failed to parse, sorted *)
   files : string list;
   effective_loc : int; (* total effective lines linted *)
   kracer : Kracer.result; (* the interprocedural pass: lock graph + R6 *)
@@ -79,33 +80,34 @@ type tree_result = {
          statically reachable missing-flush path). *)
 }
 
+(* One whole-tree model: the files are parsed once, the call graph is
+   built once (every [.mli] parsed once) and each pass restricts it by
+   its own exclusion list, and each file's effective lines are counted
+   once for both the TCB table and [effective_loc]. *)
 let lint_tree ~root =
   let files = Loc.ml_files_under ~root "lib" in
-  (* parse each file once; the per-file rules and the interprocedural
-     pass walk the same trees *)
-  let parsed, parse_errors =
-    List.fold_left
-      (fun (ok, errs) rel ->
-        match Kparse.parse (Filename.concat root rel) with
-        | Ok structure -> ((rel, structure) :: ok, errs)
-        | Error msg -> (ok, (rel, msg) :: errs))
-      ([], []) files
-  in
-  let parsed = List.rev parsed in
+  (* the per-file rules and the interprocedural passes walk the same trees *)
+  let parsed, ml_errors = Kparse.parse_files ~root files in
   let findings =
     List.concat_map (fun (rel, structure) -> lint_structure ~file:rel ~prefix:"" structure)
       parsed
   in
-  let kracer = Kracer.analyze ~root parsed in
-  let kown = Kown.analyze ~root parsed in
-  let ktcb = Ktcb.analyze ~root parsed ~summaries:kown.Kown.summaries in
-  let kdur = Kdur.analyze ~root parsed in
+  let cg = Callgraph.build ~root parsed in
+  let kracer = Kracer.analyze ~cg ~root parsed in
+  let kown = Kown.analyze ~cg ~root parsed in
+  let loc = Hashtbl.create 128 in
+  List.iter (fun rel -> Hashtbl.replace loc rel (Loc.count_file (Filename.concat root rel))) files;
+  let ktcb =
+    Ktcb.analyze ~cg ~root ~loc_of:(Hashtbl.find loc) parsed ~summaries:kown.Kown.summaries
+  in
+  let kdur = Kdur.analyze ~cg ~root parsed in
   {
     findings = Finding.sort (kown.Kown.findings @ kracer.Kracer.findings @ findings);
-    parse_errors = List.rev parse_errors;
+    parse_errors =
+      List.sort_uniq compare
+        (ml_errors @ cg.Callgraph.mli_errors @ ktcb.Ktcb.parse_errors);
     files;
-    effective_loc =
-      List.fold_left (fun acc rel -> acc + Loc.count_file (Filename.concat root rel)) 0 files;
+    effective_loc = Hashtbl.fold (fun _ n acc -> acc + n) loc 0;
     kracer;
     kown;
     ktcb;

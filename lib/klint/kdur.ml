@@ -3,7 +3,7 @@
    after kracer (locks) and kown (ownership).
 
    Per-function {!Durset} walks carry only local facts; kdur closes them
-   over the {!Callgraph} with one bottom-up fixpoint on durability
+   over the {!Callgraph} with one bottom-up {!Fixpoint} on durability
    transfers: whether a function leaves the device volatile (from a
    clean or dirty entry), writes at all, or performs a full barrier.
    Annotations ([@flushes]/[@durable]/[@orders_after], [.mli]-merged)
@@ -58,43 +58,23 @@ let excluded rel =
       "lib/kblock/flakydev.ml";
     ]
 
-let analyze ~root files =
-  let files = List.filter (fun (rel, _) -> not (excluded rel)) files in
-  let cg = Callgraph.build ~root files in
-  let tbl : (string, Durset.summary) Hashtbl.t = Hashtbl.create 64 in
-  let lookup name =
-    Option.value ~default:Durset.empty_summary (Hashtbl.find_opt tbl name)
-  in
-  (* Bottom-up transfer fixpoint, kown's pattern.  Effects only turn on
-     as callee summaries arrive; the round cap is a backstop. *)
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 32 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun f ->
-        let s = Durset.summarize cg lookup f in
-        if not (Durset.summary_equal s (lookup (Callgraph.name f))) then begin
-          Hashtbl.replace tbl (Callgraph.name f) s;
-          changed := true
-        end)
+(* [?cg]: the whole-tree graph over [files], which {!Engine.lint_tree}
+   shares between the passes; without it the pass builds its own. *)
+let analyze ?cg ~root files =
+  let cg = Callgraph.for_pass ?cg ~root ~keep:(fun rel -> not (excluded rel)) files in
+  (* Bottom-up transfer fixpoint, kown's.  Effects only turn on as callee
+     summaries arrive. *)
+  let fix =
+    Fixpoint.solve ~pass:"kdur" ~empty:Durset.empty_summary ~equal:Durset.summary_equal
+      (fun ~lookup ~emit f -> Durset.summarize ~emit cg lookup f)
       cg.Callgraph.funcs
-  done;
-  (* Final pass under the stable summaries is the one that reports. *)
-  let findings = ref [] in
-  List.iter
-    (fun f ->
-      ignore
-        (Durset.summarize ~emit:(fun x -> findings := x :: !findings) cg lookup f
-          : Durset.summary))
-    cg.Callgraph.funcs;
+  in
   let writing_funcs, flushing_funcs =
-    Hashtbl.fold
-      (fun _ (s : Durset.summary) (w, fl) ->
+    List.fold_left
+      (fun (w, fl) (_, (s : Durset.summary)) ->
         ( (if s.Durset.writes then w + 1 else w),
           if s.Durset.flushes then fl + 1 else fl ))
-      tbl (0, 0)
+      (0, 0) fix.Fixpoint.summaries
   in
   let durable_funcs, ordering_funcs =
     List.fold_left
@@ -104,26 +84,18 @@ let analyze ~root files =
       (0, 0) cg.Callgraph.funcs
   in
   {
-    findings = Finding.sort !findings;
+    findings = Finding.sort fix.Fixpoint.findings;
     funcs = List.length cg.Callgraph.funcs;
     durable_funcs;
     ordering_funcs;
     writing_funcs;
     flushing_funcs;
-    summaries =
-      Hashtbl.fold (fun name s acc -> (name, s) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    summaries = fix.Fixpoint.summaries;
   }
 
 (* Standalone entry (bench, tests): parse the tree itself. *)
 let analyze_tree ~root =
-  let files =
-    Loc.ml_files_under ~root "lib"
-    |> List.filter_map (fun rel ->
-           match Kparse.parse (Filename.concat root rel) with
-           | Ok structure -> Some (rel, structure)
-           | Error _ -> None)
-  in
+  let files, _errors = Kparse.parse_files ~root (Loc.ml_files_under ~root "lib") in
   analyze ~root files
 
 (* The count ratchet --------------------------------------------------------- *)

@@ -12,6 +12,7 @@ module Rules = Rules
 module Checks = Checks
 module Annot = Annot
 module Callgraph = Callgraph
+module Fixpoint = Fixpoint
 module Lockset = Lockset
 module Kracer = Kracer
 module Ownset = Ownset

@@ -2,7 +2,7 @@
    R8–R11), kracer's sibling for the memory-safety rung of the ladder.
 
    Per-function {!Ownset} walks carry only local facts; kown closes them
-   over the {!Callgraph} with one bottom-up fixpoint on ownership
+   over the {!Callgraph} with one bottom-up {!Fixpoint} on ownership
    summaries: which parameters a function consumes (frees or moves) and
    whether its result is a fresh owned object.  Annotations
    ([@consumes]/[@borrows]/[@returns_owned], [.mli]-merged) override the
@@ -35,65 +35,35 @@ let empty =
 let excluded rel =
   List.mem rel [ "lib/ksim/kmem.ml"; "lib/ownership/checker.ml"; "lib/ownership/cap.ml" ]
 
-let analyze ~root files =
-  let files = List.filter (fun (rel, _) -> not (excluded rel)) files in
-  let cg = Callgraph.build ~root files in
-  let tbl : (string, Ownset.summary) Hashtbl.t = Hashtbl.create 64 in
-  let lookup name =
-    Option.value ~default:Ownset.empty_summary (Hashtbl.find_opt tbl name)
-  in
-  (* Bottom-up summary fixpoint, kracer's may_acquire pattern.  The
-     inference is effectively monotone (consumes/returns_owned only turn
-     on as callee summaries arrive); the round cap is a backstop, not a
-     tuning knob. *)
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 32 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun f ->
-        let s = Ownset.summarize cg lookup f in
-        if not (Ownset.summary_equal s (lookup (Callgraph.name f))) then begin
-          Hashtbl.replace tbl (Callgraph.name f) s;
-          changed := true
-        end)
+(* [?cg]: the whole-tree graph over [files], which {!Engine.lint_tree}
+   shares between the passes; without it the pass builds its own. *)
+let analyze ?cg ~root files =
+  let cg = Callgraph.for_pass ?cg ~root ~keep:(fun rel -> not (excluded rel)) files in
+  (* Bottom-up summary fixpoint.  The inference is effectively monotone
+     (consumes/returns_owned only turn on as callee summaries arrive). *)
+  let fix =
+    Fixpoint.solve ~pass:"kown" ~empty:Ownset.empty_summary ~equal:Ownset.summary_equal
+      (fun ~lookup ~emit f -> Ownset.summarize ~emit cg lookup f)
       cg.Callgraph.funcs
-  done;
-  (* Final pass under the stable summaries is the one that reports. *)
-  let findings = ref [] in
-  List.iter
-    (fun f ->
-      ignore
-        (Ownset.summarize ~emit:(fun x -> findings := x :: !findings) cg lookup f
-          : Ownset.summary))
-    cg.Callgraph.funcs;
+  in
   let consuming, returning_owned =
-    Hashtbl.fold
-      (fun _ (s : Ownset.summary) (c, r) ->
+    List.fold_left
+      (fun (c, r) (_, (s : Ownset.summary)) ->
         ( (if Ownset.SS.is_empty s.Ownset.consumes then c else c + 1),
           if s.Ownset.returns_owned then r + 1 else r ))
-      tbl (0, 0)
+      (0, 0) fix.Fixpoint.summaries
   in
   {
-    findings = Finding.sort !findings;
+    findings = Finding.sort fix.Fixpoint.findings;
     funcs = List.length cg.Callgraph.funcs;
     consuming;
     returning_owned;
-    summaries =
-      Hashtbl.fold (fun name s acc -> (name, s) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    summaries = fix.Fixpoint.summaries;
   }
 
 (* Standalone entry (bench, tests): parse the tree itself. *)
 let analyze_tree ~root =
-  let files =
-    Loc.ml_files_under ~root "lib"
-    |> List.filter_map (fun rel ->
-           match Kparse.parse (Filename.concat root rel) with
-           | Ok structure -> Some (rel, structure)
-           | Error _ -> None)
-  in
+  let files, _errors = Kparse.parse_files ~root (Loc.ml_files_under ~root "lib") in
   analyze ~root files
 
 (* Runtime reconciliation --------------------------------------------------- *)

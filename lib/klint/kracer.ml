@@ -221,9 +221,10 @@ let find_cycles edges =
 let pp_classes ss =
   match SS.elements ss with [] -> "nothing" | ls -> String.concat ", " ls
 
-let analyze ~root files =
-  let files = List.filter (fun (rel, _) -> not (excluded rel)) files in
-  let cg = Callgraph.build ~root files in
+(* [?cg]: the whole-tree graph over [files], which {!Engine.lint_tree}
+   shares between the passes; without it the pass builds its own. *)
+let analyze ?cg ~root files =
+  let cg = Callgraph.for_pass ?cg ~root ~keep:(fun rel -> not (excluded rel)) files in
   let summaries = List.map (Lockset.summarize cg) cg.Callgraph.funcs in
   let may = may_acquire summaries in
   let entry = guaranteed_entry summaries in
@@ -299,13 +300,7 @@ let analyze ~root files =
 
 (* Standalone entry (bench, tests): parse the tree itself. *)
 let analyze_tree ~root =
-  let files =
-    Loc.ml_files_under ~root "lib"
-    |> List.filter_map (fun rel ->
-           match Kparse.parse (Filename.concat root rel) with
-           | Ok structure -> Some (rel, structure)
-           | Error _ -> None)
-  in
+  let files, _errors = Kparse.parse_files ~root (Loc.ml_files_under ~root "lib") in
   analyze ~root files
 
 (* Reconciliation ---------------------------------------------------------- *)

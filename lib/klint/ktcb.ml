@@ -75,6 +75,9 @@ type result = {
   lock_creators : (string * string) list;
       (** lock class -> creating file, from literal [Klock.create ~name]
           sites — the attribution the lockdep reconciliation uses *)
+  parse_errors : (string * string) list;
+      (** the frame surface [.mli], if it failed to parse: [surface_vals]
+          is then 0, and the lint must not pass *)
 }
 
 let empty =
@@ -88,6 +91,7 @@ let empty =
     unsafe_loc = 0;
     funcs = 0;
     lock_creators = [];
+    parse_errors = [];
   }
 
 (* The frame-surface metric: how many vals the blessed boundary exports
@@ -104,11 +108,11 @@ let rec count_sig_vals signature =
 
 let surface_vals ~root =
   let path = Filename.concat root Frame.surface_mli in
-  if not (Sys.file_exists path) then 0
+  if not (Sys.file_exists path) then Ok 0
   else
-    match Pparse.parse_interface ~tool_name:"klint" path with
-    | signature -> count_sig_vals signature
-    | exception _ -> 0
+    match Kparse.parse_interface path with
+    | Ok signature -> Ok (count_sig_vals signature)
+    | Error msg -> Error (Frame.surface_mli, msg)
 
 (* Lock class -> creating file, from literal [Klock.create ~name] sites;
    locks named via computed strings cannot be attributed and are
@@ -134,9 +138,13 @@ let lock_class_creators parsed =
     parsed;
   List.sort_uniq compare !acc
 
-let analyze ~root parsed ~summaries =
+(* [?cg]: the whole-tree graph over [parsed]; [?loc_of]: each file's
+   effective lines, already counted.  {!Engine.lint_tree} shares both;
+   without them the pass builds and counts its own. *)
+let analyze ?cg ~root ?(loc_of = fun rel -> Loc.count_file (Filename.concat root rel)) parsed
+    ~summaries =
   let files = List.map fst parsed in
-  let cg = Callgraph.build ~root parsed in
+  let cg = match cg with Some cg -> cg | None -> Callgraph.build ~root parsed in
   let findings = ref [] in
   (* (file, line, col) already carrying a finding — R13 never re-flags a
      call site R12 already priced. *)
@@ -291,7 +299,7 @@ let analyze ~root parsed ~summaries =
   let total_unsafe = ref 0 in
   List.iter
     (fun rel ->
-      let floc = Loc.count_file (Filename.concat root rel) in
+      let floc = loc_of rel in
       let r12 = of_file rel Finding.R12_unsafe_primitive in
       let r13 = of_file rel Finding.R13_frame_bypass in
       let in_frame = Frame.in_frame rel in
@@ -326,34 +334,33 @@ let analyze ~root parsed ~summaries =
       tbl []
     |> List.sort (fun a b -> String.compare a.sub b.sub)
   in
+  let surface_vals, parse_errors =
+    match surface_vals ~root with Ok n -> (n, []) | Error err -> (0, [ err ])
+  in
   {
     findings;
     rows;
     frame_files = !frame_files;
     frame_loc = !frame_loc;
-    surface_vals = surface_vals ~root;
+    surface_vals;
     total_loc = !total_loc;
     unsafe_loc = !total_unsafe;
     funcs = List.length cg.Callgraph.funcs;
     lock_creators = lock_class_creators parsed;
+    parse_errors;
   }
 
 let ratio result =
   if result.total_loc = 0 then 0.0
   else 100.0 *. float_of_int result.unsafe_loc /. float_of_int result.total_loc
 
-(* Standalone entry (bench, tests): parse the tree and run kown for the
-   summaries R14 needs. *)
+(* Standalone entry (bench, tests): parse the tree and run kown, over the
+   same graph, for the summaries R14 needs. *)
 let analyze_tree ~root =
-  let files =
-    Loc.ml_files_under ~root "lib"
-    |> List.filter_map (fun rel ->
-           match Kparse.parse (Filename.concat root rel) with
-           | Ok structure -> Some (rel, structure)
-           | Error _ -> None)
-  in
-  let kown = Kown.analyze ~root files in
-  analyze ~root files ~summaries:kown.Kown.summaries
+  let files, _errors = Kparse.parse_files ~root (Loc.ml_files_under ~root "lib") in
+  let cg = Callgraph.build ~root files in
+  let kown = Kown.analyze ~cg ~root files in
+  analyze ~cg ~root files ~summaries:kown.Kown.summaries
 
 (* The tcb.baseline count-ratchet ------------------------------------------ *)
 

@@ -273,8 +273,8 @@ let frees_and_drops resolve_consumes e =
 
 (* [summarize cg lookup func] walks [func] under the interprocedural
    summaries [lookup] and returns the function's own summary.  [emit]
-   receives findings — the fixpoint passes [ignore], the final reporting
-   pass collects. *)
+   receives findings; {!Fixpoint} keeps those of each function's last
+   evaluation. *)
 let summarize ?(emit = fun (_ : Finding.t) -> ()) (cg : Callgraph.t)
     (lookup : string -> summary) (func : Callgraph.func) : summary =
   let fname = Callgraph.name func in

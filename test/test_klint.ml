@@ -1388,9 +1388,294 @@ let test_effective_loc () =
   in
   check Alcotest.int "comments and blanks do not count" 2 (Klint.Loc.count_string src)
 
+(* One whole-tree model ---------------------------------------------------- *)
+
+module CG = Klint.Callgraph
+module O = Klint.Ownset
+module Ds = Klint.Durset
+
+let findings_t = Alcotest.(list (testable F.pp ( = )))
+
+let test_broken_mli_reported () =
+  (* An unparsable .mli must not drop its contracts silently: it lands in
+     [parse_errors], where klint exits 2.  So does a broken frame
+     surface, which ktcb would otherwise count as 0 vals. *)
+  let _, tree =
+    lint_tree_fixture
+      [
+        ("lib/fixture/res.ml", "let release p = Ksim.Kmem.free p\n");
+        ("lib/fixture/res.mli", "(** @consumes: p *)\nval release : = \n");
+        ("lib/fixture/ok.ml", "let f x = x\n");
+        ("lib/fixture/ok.mli", "val f : 'a -> 'a\n");
+        ("lib/ksim/frame.ml", "let x = 1\n");
+        ("lib/ksim/frame.mli", "val x : int\nval\n");
+      ]
+  in
+  check ids "each broken interface reported once, in file order"
+    [ "lib/fixture/res.mli"; "lib/ksim/frame.mli" ]
+    (List.map fst tree.E.parse_errors);
+  check ids "ktcb reports the frame surface it could not count" [ "lib/ksim/frame.mli" ]
+    (List.map fst tree.E.ktcb.K.parse_errors);
+  check Alcotest.int "and counts no vals" 0 tree.E.ktcb.K.surface_vals;
+  let _, clean = lint_tree_fixture [ ("lib/fixture/ok.ml", "let f x = x\n") ] in
+  check ids "a tree without a frame surface has no errors" [] (List.map fst clean.E.parse_errors)
+
+(* [name]1 calls [name]2 ... calls [name][depth], whose body is [last]:
+   callee-last, so a sweep in definition order moves a fact one hop per
+   round, and a sweep loop capped at 32 rounds would report from
+   summaries that have not converged. *)
+let chain_depth = 40
+
+let chain ~name ~params ~last =
+  "let rec "
+  ^ String.concat "\nand "
+      (List.init chain_depth (fun i ->
+           let i = i + 1 in
+           if i < chain_depth then Printf.sprintf "%s%d %s = %s%d %s" name i params name (i + 1) params
+           else Printf.sprintf "%s%d %s = %s" name i params last))
+  ^ "\n"
+
+let chain_names ~modname ~name =
+  List.init chain_depth (fun i -> Printf.sprintf "%s.%s%d" modname name (i + 1))
+
+let test_kown_deep_chain_and_recursion () =
+  let _, tree =
+    lint_tree_fixture
+      [
+        ( "lib/fixture/deep.ml",
+          chain ~name:"c" ~params:"p" ~last:"Ksim.Kmem.free p"
+          ^ "let rec ping p n = if n = 0 then Ksim.Kmem.free p else pong p (n - 1)\n\
+             and pong p n = ping p (n - 1)\n\
+             let user p = c1 p; Ksim.Kmem.read p\n\
+             let twice p = ping p 3; Ksim.Kmem.free p\n" );
+      ]
+  in
+  let summaries = tree.E.kown.Klint.Kown.summaries in
+  List.iter
+    (fun name ->
+      match List.assoc_opt name summaries with
+      | Some s ->
+          check ids (name ^ " consumes p") [ "p" ] (O.SS.elements s.O.consumes);
+          check Alcotest.bool (name ^ " returns nothing owned") false s.O.returns_owned
+      | None -> Alcotest.fail (name ^ " has no summary"))
+    (chain_names ~modname:"Deep" ~name:"c" @ [ "Deep.ping"; "Deep.pong"; "Deep.user"; "Deep.twice" ]);
+  check Alcotest.int "exactly the chain, the pair and their callers consume" (chain_depth + 4)
+    (List.length summaries);
+  check ids "use after the chain frees, double free after the pair" [ "R8"; "R9" ]
+    (rule_ids tree.E.kown.Klint.Kown.findings);
+  check ids "in the callers" [ "Deep.user"; "Deep.twice" ]
+    (List.map (fun f -> f.F.func) tree.E.kown.Klint.Kown.findings)
+
+let test_kdur_deep_chain_and_recursion () =
+  let _, tree =
+    lint_tree_fixture
+      [
+        ( "lib/fixture/deep.ml",
+          chain ~name:"w" ~params:"t x" ~last:"t.Kblock.Io.write 1 x"
+          ^ chain ~name:"f" ~params:"t" ~last:"t.Kblock.Io.flush ()"
+          ^ "let rec wa t n = if n = 0 then t.Kblock.Io.write 1 n else wb t (n - 1)\n\
+             and wb t n = wa t (n - 1)\n\
+             let rec fa t n = if n = 0 then t.Kblock.Io.flush () else fb t (n - 1)\n\
+             and fb t n = fa t (n - 1)\n\
+             let ( let* ) = Result.bind\n\
+             let commit_chain t x =\n\
+            \  let* () = w1 t x in\n\
+            \  Ok () [@@durable]\n\
+             let commit_pair t =\n\
+            \  let* () = wa t 3 in\n\
+            \  Ok () [@@durable]\n\
+             let commit_flushed t x =\n\
+            \  let* () = w1 t x in\n\
+            \  let* () = wa t 3 in\n\
+            \  let* () = f1 t in\n\
+            \  let* () = fa t 3 in\n\
+            \  Ok () [@@durable]\n" );
+      ]
+  in
+  let summaries = tree.E.kdur.D.summaries in
+  let summary name =
+    match List.assoc_opt name summaries with
+    | Some s -> s
+    | None -> Alcotest.fail (name ^ " has no summary")
+  in
+  List.iter
+    (fun name ->
+      let s = summary name in
+      check Alcotest.bool (name ^ " writes") true s.Ds.writes;
+      check Alcotest.bool (name ^ " leaves the device volatile") true s.Ds.out_clean;
+      check Alcotest.bool (name ^ " has no barrier") false s.Ds.flushes)
+    (chain_names ~modname:"Deep" ~name:"w" @ [ "Deep.wa"; "Deep.wb" ]);
+  List.iter
+    (fun name ->
+      let s = summary name in
+      check Alcotest.bool (name ^ " flushes") true s.Ds.flushes;
+      check Alcotest.bool (name ^ " leaves the device clean") false s.Ds.out_clean;
+      check Alcotest.bool (name ^ " writes nothing") false s.Ds.writes)
+    (chain_names ~modname:"Deep" ~name:"f" @ [ "Deep.fa"; "Deep.fb" ]);
+  check ids "volatile acks through the chain and the pair" [ "R17"; "R17" ]
+    (kdur_ids tree.E.kdur);
+  check ids "in the unflushed commits" [ "Deep.commit_chain"; "Deep.commit_pair" ]
+    (List.map (fun f -> f.F.func) tree.E.kdur.D.findings)
+
+let test_fixpoint_shadowed_name () =
+  (* Two definitions of one name: the last owns the summary, the rule
+     [Callgraph.resolve] applies to same-file calls, so the pair cannot
+     flip one shared entry back and forth. *)
+  let _, tree =
+    lint_tree_fixture
+      [
+        ( "lib/fixture/dup.ml",
+          "let drop p = Ksim.Kmem.free p
+           let drop p = ignore p
+           let twice p = drop p; Ksim.Kmem.free p
+" );
+      ]
+  in
+  check ids "only the caller's own free is summarised" [ "Dup.twice" ]
+    (List.map fst tree.E.kown.Klint.Kown.summaries);
+  check ids "the call reaches the borrowing definition" []
+    (rule_ids tree.E.kown.Klint.Kown.findings)
+
+let test_fixpoint_divergence_is_named () =
+  (* A summary that never settles is an error with a name, not a report
+     from unconverged summaries. *)
+  let root, _ = lint_tree_fixture [ ("lib/fixture/osc.ml", "let flip x = flip x\n") ] in
+  let parsed, _ = Klint.Kparse.parse_files ~root [ "lib/fixture/osc.ml" ] in
+  let cg = CG.build ~root parsed in
+  match
+    Klint.Fixpoint.solve ~pass:"test" ~empty:false ~equal:Bool.equal
+      (fun ~lookup ~emit:_ f -> not (lookup (CG.name f)))
+      cg.CG.funcs
+  with
+  | _ -> Alcotest.fail "an oscillating summary converged?"
+  | exception Klint.Fixpoint.Diverged { pass; func; changes } ->
+      check Alcotest.string "names the pass" "test" pass;
+      check Alcotest.string "names the function" "Osc.flip" func;
+      check Alcotest.int "after the backstop" Klint.Fixpoint.max_changes changes
+
+let excluders =
+  [
+    ("kracer", fun rel -> not (Klint.Kracer.excluded rel));
+    ("kown", fun rel -> not (Klint.Kown.excluded rel));
+    ("kdur", fun rel -> not (Klint.Kdur.excluded rel));
+  ]
+
+let test_shared_model_matches_standalone () =
+  (* [Engine.lint_tree] shares one graph between the passes; each pass
+     run on its own, building its own graph, must give the same result,
+     compared structure by structure. *)
+  with_repo_root (fun root ->
+      let tree = E.lint_tree ~root in
+      let parsed, _ = Klint.Kparse.parse_files ~root tree.E.files in
+      let kracer = Klint.Kracer.analyze ~root parsed in
+      let kown = Klint.Kown.analyze ~root parsed in
+      let ktcb = K.analyze ~root parsed ~summaries:kown.Klint.Kown.summaries in
+      let kdur = D.analyze ~root parsed in
+      let rules =
+        List.concat_map (fun (rel, s) -> E.lint_structure ~file:rel ~prefix:"" s) parsed
+      in
+      check findings_t "ladder findings"
+        (F.sort (kown.Klint.Kown.findings @ kracer.Klint.Kracer.findings @ rules))
+        tree.E.findings;
+      let r = tree.E.kracer in
+      check findings_t "kracer findings" kracer.Klint.Kracer.findings r.Klint.Kracer.findings;
+      check Alcotest.bool "kracer edges" true (kracer.Klint.Kracer.edges = r.Klint.Kracer.edges);
+      check Alcotest.bool "kracer cycles" true (kracer.Klint.Kracer.cycles = r.Klint.Kracer.cycles);
+      check Alcotest.bool "kracer guards" true (kracer.Klint.Kracer.guards = r.Klint.Kracer.guards);
+      check Alcotest.int "kracer functions" kracer.Klint.Kracer.funcs r.Klint.Kracer.funcs;
+      check Alcotest.int "kracer unresolved calls" kracer.Klint.Kracer.unresolved_calls
+        r.Klint.Kracer.unresolved_calls;
+      let o = tree.E.kown in
+      check findings_t "kown findings" kown.Klint.Kown.findings o.Klint.Kown.findings;
+      check Alcotest.int "kown functions" kown.Klint.Kown.funcs o.Klint.Kown.funcs;
+      check Alcotest.int "kown consuming" kown.Klint.Kown.consuming o.Klint.Kown.consuming;
+      check Alcotest.int "kown returning owned" kown.Klint.Kown.returning_owned
+        o.Klint.Kown.returning_owned;
+      check Alcotest.bool "kown summaries" true
+        (List.equal
+           (fun (a, s) (b, s') -> String.equal a b && O.summary_equal s s')
+           kown.Klint.Kown.summaries o.Klint.Kown.summaries);
+      check Alcotest.bool "ktcb result, rows included" true (ktcb = tree.E.ktcb);
+      check Alcotest.bool "kdur result, summaries included" true (kdur = tree.E.kdur))
+
+let test_restrict_is_build_over_kept_files () =
+  (* [restrict] stands in for [build] over a pass's files: the same
+     functions in the same order, the same contracts, and the same
+     resolution at every call site in lib/. *)
+  with_repo_root (fun root ->
+      let parsed, _ = Klint.Kparse.parse_files ~root (Klint.Loc.ml_files_under ~root "lib") in
+      let whole = CG.build ~root parsed in
+      let key (f : CG.func) =
+        Fmt.str "%s:%d:%s" f.CG.file f.CG.loc.Location.loc_start.Lexing.pos_lnum (CG.name f)
+      in
+      let resolved cg (f : CG.func) =
+        let acc = ref [] in
+        K.deep_iter_expr
+          (fun e ->
+            match e.Parsetree.pexp_desc with
+            | Parsetree.Pexp_ident { txt; _ } ->
+                acc :=
+                  (match CG.resolve cg ~caller:f (Klint.Rules.flatten txt) with
+                  | Some g -> key g
+                  | None -> "-")
+                  :: !acc
+            | _ -> ())
+          f.CG.body;
+        !acc
+      in
+      List.iter
+        (fun (pass, keep) ->
+          let restricted = CG.restrict whole ~keep in
+          let built = CG.build ~root (List.filter (fun (rel, _) -> keep rel) parsed) in
+          check ids (pass ^ ": same functions in the same order")
+            (List.map key built.CG.funcs) (List.map key restricted.CG.funcs);
+          check Alcotest.bool (pass ^ ": same contracts") true
+            (List.equal
+               (fun (a : CG.func) (b : CG.func) -> a.CG.annot = b.CG.annot)
+               built.CG.funcs restricted.CG.funcs);
+          List.iter2
+            (fun b r ->
+              check ids (pass ^ ": same resolution in " ^ key b) (resolved built b)
+                (resolved restricted r))
+            built.CG.funcs restricted.CG.funcs)
+        excluders)
+
+(* Allocation ceiling: words allocated per linted file by one
+   [Engine.lint_tree] over lib/, counted as minor + major - promoted
+   words, the figure the lint-tree benchmark reports.  It measures
+   about 474k words per file (it was about 897k when each pass built
+   its own call graph and kown/kdur swept every function until nothing
+   changed, plus a reporting sweep).  The ceiling is 1.25x that, low
+   enough that rebuilding the graph per pass fails it. *)
+let lint_base_words_per_file = 474_000.0
+let lint_ceiling_words_per_file = 1.25 *. lint_base_words_per_file
+
+let test_lint_alloc_ceiling () =
+  with_repo_root (fun root ->
+      let words () =
+        let g = Gc.quick_stat () in
+        g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+      in
+      let w0 = words () in
+      let tree = E.lint_tree ~root in
+      let w1 = words () in
+      let per_file = (w1 -. w0) /. float_of_int (List.length tree.E.files) in
+      Printf.printf "klint: %.0f words allocated per linted file (%d files; ceiling %.0f)\n"
+        per_file (List.length tree.E.files) lint_ceiling_words_per_file;
+      if per_file > lint_ceiling_words_per_file then
+        Alcotest.fail
+          (Printf.sprintf "klint allocation ceiling: %.0f words/file > %.0f (1.25 x %.0f)"
+             per_file lint_ceiling_words_per_file lint_base_words_per_file))
+
 let () =
   Alcotest.run "klint"
     [
+      (* First, before the other cases warm the parser's tables. *)
+      ( "alloc",
+        [
+          Alcotest.test_case "allocation ceiling (words per linted file)" `Quick
+            test_lint_alloc_ceiling;
+        ] );
       ( "rules",
         [
           Alcotest.test_case "r1 unchecked cast" `Quick test_r1_unchecked_cast;
@@ -1489,5 +1774,20 @@ let () =
             test_kdur_shipped_tree;
           Alcotest.test_case "registry loc derived from klint" `Quick test_loc_derivation;
           Alcotest.test_case "effective line counting" `Quick test_effective_loc;
+        ] );
+      ( "model",
+        [
+          Alcotest.test_case "broken mli is a parse error" `Quick test_broken_mli_reported;
+          Alcotest.test_case "kown: deep callee-last chain and recursion" `Quick
+            test_kown_deep_chain_and_recursion;
+          Alcotest.test_case "kdur: deep callee-last chain and recursion" `Quick
+            test_kdur_deep_chain_and_recursion;
+          Alcotest.test_case "a shadowed name has one owner" `Quick test_fixpoint_shadowed_name;
+          Alcotest.test_case "fixpoint divergence is a named error" `Quick
+            test_fixpoint_divergence_is_named;
+          Alcotest.test_case "shared model equals standalone passes" `Quick
+            test_shared_model_matches_standalone;
+          Alcotest.test_case "restrict is build over the kept files" `Quick
+            test_restrict_is_build_over_kept_files;
         ] );
     ]
