@@ -627,7 +627,7 @@ let wcache_snapshot () =
   ignore (Kblock.Wcache.take_durable wc);
   let media0 = Kblock.Blockdev.snapshot_media dev in
   let apply_entry media (e : Kblock.Wcache.entry) =
-    media.(e.blkno) <- e.data
+    Kblock.Media.set media e.blkno e.data
   in
   let hist = Ksim.Hist.create () in
   let p = Kspec.Fs_spec.path_of_string in
@@ -648,7 +648,7 @@ let wcache_snapshot () =
     if i mod 10 = 0 then begin
       List.iter
         (fun residue ->
-          let media = Array.copy media0 in
+          let media = Kblock.Media.copy media0 in
           List.iter (apply_entry media) residue;
           let dev' = Kblock.Blockdev.of_media ~block_size:g.Kfs.Journalfs.block_size media in
           let m0 = Unix.gettimeofday () in

@@ -4,9 +4,11 @@
    loses an arbitrary subset of the cached writes (disks reorder), which
    is exactly the failure model journaling must defend against.
    [crash_media_states] enumerates the distinct post-crash media images so
-   crash-safety checking can be exhaustive rather than sampled.  Media
-   blocks are immutable strings shared between images, so an image is an
-   [Array.copy] of block pointers; [read]/[write] copy at the boundary. *)
+   crash-safety checking can be exhaustive rather than sampled.  Media is
+   a copy-on-write [Media.t] of immutable blocks shared between images, so
+   an image costs one pointer per 64-block chunk plus the chunks its
+   residue touches; [read]/[write] copy at the boundary, [read_shared]
+   hands out the shared block itself. *)
 
 type pending = {
   seq : int;
@@ -17,7 +19,7 @@ type pending = {
 type t = {
   nblocks : int;
   block_size : int;
-  media : string array; (* immutable blocks, shared between images *)
+  media : Media.t; (* copy-on-write, blocks shared between images *)
   mutable cache : pending list; (* newest first *)
   mutable next_seq : int;
   mutable reads : int;
@@ -29,7 +31,7 @@ let create ~nblocks ~block_size =
   {
     nblocks;
     block_size;
-    media = Array.make nblocks (String.make block_size '\000');
+    media = Media.create ~nblocks (String.make block_size '\000');
     cache = [];
     next_seq = 0;
     reads = 0;
@@ -46,15 +48,19 @@ let pending_writes dev = List.length dev.cache
 
 let in_range dev blkno = blkno >= 0 && blkno < dev.nblocks
 
+(* The device serves reads from its cache: latest write wins. *)
+let latest dev blkno =
+  dev.reads <- dev.reads + 1;
+  match List.find_opt (fun p -> p.blkno = blkno) dev.cache with
+  | Some p -> p.data
+  | None -> Media.get dev.media blkno
+
+let read_shared dev blkno =
+  if not (in_range dev blkno) then Error Ksim.Errno.EIO else Ok (latest dev blkno)
+
 let read dev blkno =
   if not (in_range dev blkno) then Error Ksim.Errno.EIO
-  else begin
-    dev.reads <- dev.reads + 1;
-    (* The device serves reads from its cache: latest write wins. *)
-    match List.find_opt (fun p -> p.blkno = blkno) dev.cache with
-    | Some p -> Ok (Bytes.of_string p.data)
-    | None -> Ok (Bytes.of_string dev.media.(blkno))
-  end
+  else Ok (Bytes.of_string (latest dev blkno))
 
 let write dev blkno data =
   if not (in_range dev blkno) then Error Ksim.Errno.EIO
@@ -68,7 +74,7 @@ let write dev blkno data =
 
 let apply_to media pendings =
   (* Oldest first so that last-write-wins per block. *)
-  List.iter (fun p -> media.(p.blkno) <- p.data)
+  List.iter (fun p -> Media.set media p.blkno p.data)
     (List.sort (fun a b -> compare a.seq b.seq) pendings)
 
 let flush dev =
@@ -76,11 +82,11 @@ let flush dev =
   apply_to dev.media dev.cache;
   dev.cache <- []
 
-let snapshot_media dev = Array.copy dev.media
+let snapshot_media dev = Media.copy dev.media
 
 let of_media ~block_size media =
   {
-    nblocks = Array.length media;
+    nblocks = Media.length media;
     block_size;
     media;
     cache = [];
@@ -103,14 +109,17 @@ let crash_media_states dev ~limit =
   let images = ref [] in
   let seen = Hashtbl.create 16 in
   let emit mask =
-    let media = Array.copy dev.media in
+    let media = Media.copy dev.media in
     let subset = ref [] in
     for i = 0 to n - 1 do
       if mask land (1 lsl i) <> 0 then subset := pendings.(i) :: !subset
     done;
     apply_to media !subset;
     (* Equal images differ from the media in the same blocks, alike. *)
-    let changed b = if String.equal media.(b) dev.media.(b) then None else Some (b, media.(b)) in
+    let changed b =
+      let blk = Media.get media b in
+      if String.equal blk (Media.get dev.media b) then None else Some (b, blk)
+    in
     let key = List.filter_map changed (List.sort_uniq compare (List.map (fun p -> p.blkno) !subset)) in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.replace seen key ();

@@ -4,9 +4,11 @@
     loses an arbitrary subset of cached writes (disks reorder).  This is
     the failure model journaling defends against, and
     {!crash_media_states} makes it enumerable for exhaustive
-    crash-safety checking.  Media blocks are immutable strings shared
-    between images, so an image costs [nblocks] pointers, not the disk's
-    bytes; {!read} and {!write} copy, so callers never see the sharing. *)
+    crash-safety checking.  The media is a copy-on-write {!Media.t} of
+    immutable blocks shared between images, so an image costs one
+    pointer per 64-block chunk plus the chunks its residue touches, not
+    the disk's bytes.  {!read} and {!write} copy, so callers never see
+    the sharing; {!read_shared} is the zero-copy read for parsers. *)
 
 type t
 
@@ -18,6 +20,10 @@ val read : t -> int -> bytes Ksim.Errno.r
 (** Serve from the cache (latest write wins) or the media.  [EIO] out of
     range. *)
 
+val read_shared : t -> int -> string Ksim.Errno.r
+(** {!read} without the copy: the latest cached write or the media block
+    itself, as an immutable string.  Counts as a read. *)
+
 val write : t -> int -> bytes -> unit Ksim.Errno.r
 (** Buffer a whole-block write.  [EINVAL] on wrong size, [EIO] out of
     range. *)
@@ -28,7 +34,7 @@ val flush : t -> unit
 val crash : t -> unit
 (** Drop every cached write (the canonical single crash). *)
 
-val crash_media_states : t -> limit:int -> string array list
+val crash_media_states : t -> limit:int -> Media.t list
 (** Distinct media images reachable by crashing now: any subset of cached
     writes may have survived.  Exhaustive when [2^pending <= limit];
     otherwise empty set, all prefixes, full set, and single-dropped
@@ -37,11 +43,12 @@ val crash_media_states : t -> limit:int -> string array list
 val crash_states : t -> limit:int -> t list
 (** {!crash_media_states} wrapped into fresh devices with empty caches. *)
 
-val snapshot_media : t -> string array
-(** The media without cached writes: a copy of the block pointers. *)
+val snapshot_media : t -> Media.t
+(** The media without cached writes: a {!Media.copy}, O(chunks). *)
 
-val of_media : block_size:int -> string array -> t
-(** A device over [media] itself, not a copy: do not mutate it after. *)
+val of_media : block_size:int -> Media.t -> t
+(** A device over [media] itself, not a copy: take a {!Media.copy} first
+    if the caller keeps writing to it. *)
 
 val reads : t -> int
 val writes : t -> int

@@ -23,6 +23,10 @@ let put_u16 buf off v =
 let get_u16 buf off =
   Char.code (Bytes.get buf off) lor (Char.code (Bytes.get buf (off + 1)) lsl 8)
 
+(* The same readers over an immutable block (e.g. [Blockdev.read_shared]). *)
+let string_get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xffff_ffff
+let string_get_u16 s off = String.get_uint16_le s off
+
 (* Length-prefixed short string (u16 length). *)
 let put_string buf off s =
   let len = String.length s in

@@ -5,6 +5,11 @@ val get_u32 : bytes -> int -> int
 val put_u16 : bytes -> int -> int -> unit
 val get_u16 : bytes -> int -> int
 
+val string_get_u32 : string -> int -> int
+(** {!get_u32} over an immutable block. *)
+
+val string_get_u16 : string -> int -> int
+
 val put_string : bytes -> int -> string -> int
 (** Write a u16-length-prefixed string; returns the offset past it. *)
 

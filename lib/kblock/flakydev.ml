@@ -20,9 +20,11 @@
    per-op tick. *)
 
 type t = {
-  name : string;
   base : Io.t;
   fp : Ksim.Failpoint.t;
+  read_eio : Ksim.Failpoint.site; (* kept from [register]: no lookup per I/O *)
+  write_eio : Ksim.Failpoint.site;
+  torn_write : Ksim.Failpoint.site;
   rng : Ksim.Rng.t; (* tear offsets; seeded from the registry for replay *)
   mutable up_interval : int; (* 0 = always up *)
   mutable down_interval : int;
@@ -34,29 +36,27 @@ type t = {
   mutable down_rejections : int;
 }
 
-let site t kind = t.name ^ "." ^ kind
-
 let create ?(name = "flaky") ~fp base =
-  let t =
-    {
-      name;
-      base;
-      fp;
-      rng = Ksim.Rng.of_int (Ksim.Failpoint.seed fp + Hashtbl.hash name);
-      up_interval = 0;
-      down_interval = 0;
-      tick = 0;
-      read_errors = 0;
-      write_errors = 0;
-      torn_writes = 0;
-      torn_skipped = 0;
-      down_rejections = 0;
-    }
-  in
-  ignore (Ksim.Failpoint.register fp (site t "read-eio"));
-  ignore (Ksim.Failpoint.register fp (site t "write-eio"));
-  ignore (Ksim.Failpoint.register fp (site t "torn-write"));
-  t
+  let site kind = Ksim.Failpoint.register fp (name ^ "." ^ kind) in
+  let read_eio = site "read-eio" in
+  let write_eio = site "write-eio" in
+  let torn_write = site "torn-write" in
+  {
+    base;
+    fp;
+    read_eio;
+    write_eio;
+    torn_write;
+    rng = Ksim.Rng.of_int (Ksim.Failpoint.seed fp + Hashtbl.hash name);
+    up_interval = 0;
+    down_interval = 0;
+    tick = 0;
+    read_errors = 0;
+    write_errors = 0;
+    torn_writes = 0;
+    torn_skipped = 0;
+    down_rejections = 0;
+  }
 
 let set_availability t ~up ~down =
   if up < 1 && down > 0 then invalid_arg "Flakydev.set_availability";
@@ -79,7 +79,7 @@ let tick_down t =
 
 let read t blkno =
   if tick_down t then reject_down t
-  else if Ksim.Failpoint.should_fail t.fp (site t "read-eio") then begin
+  else if Ksim.Failpoint.fire t.fp t.read_eio then begin
     t.read_errors <- t.read_errors + 1;
     Error Ksim.Errno.EIO
   end
@@ -91,13 +91,13 @@ let read t blkno =
    not durably on media. *)
 let write_gen t ~landing blkno data =
   if tick_down t then reject_down t
-  else if Ksim.Failpoint.should_fail t.fp (site t "write-eio") then begin
+  else if Ksim.Failpoint.fire t.fp t.write_eio then begin
     t.write_errors <- t.write_errors + 1;
     Error Ksim.Errno.EIO
   end
   else if
     Bytes.length data = t.base.Io.block_size
-    && Ksim.Failpoint.should_fail t.fp (site t "torn-write")
+    && Ksim.Failpoint.fire t.fp t.torn_write
   then begin
     (* Tear inside the block: a prefix of the new data over the old
        content reaches the device, and the caller sees EIO.  If the base

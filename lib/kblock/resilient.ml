@@ -64,6 +64,19 @@ let backoff t attempt =
   let spread = int_of_float (t.jitter *. float_of_int base) in
   if spread > 0 then base + Ksim.Rng.int t.rng (spread + 1) else base
 
+(* What an op was, formatted only when a trace event needs it. *)
+type label =
+  | Read of int
+  | Write of int
+  | Write_fua of int
+  | Flush
+
+let pp_label ppf = function
+  | Read blkno -> Format.fprintf ppf "read %d" blkno
+  | Write blkno -> Format.fprintf ppf "write %d" blkno
+  | Write_fua blkno -> Format.fprintf ppf "write-fua %d" blkno
+  | Flush -> Format.pp_print_string ppf "flush"
+
 let run t label f =
   t.ops <- t.ops + 1;
   let rec go attempt =
@@ -71,8 +84,8 @@ let run t label f =
     | Ok v ->
         if attempt > 1 then begin
           t.recovered_ops <- t.recovered_ops + 1;
-          Ksim.Ktrace.emitf t.trace ~category:"resilient" "%s: recovered on attempt %d" label
-            attempt
+          Ksim.Ktrace.emitf t.trace ~category:"resilient" "%a: recovered on attempt %d"
+            pp_label label attempt
         end;
         Ok v
     | Error e when transient e && attempt < t.max_attempts ->
@@ -83,22 +96,17 @@ let run t label f =
         if transient e then begin
           t.permanent_failures <- t.permanent_failures + 1;
           Ksim.Ktrace.emitf t.trace ~category:"resilient"
-            "%s: permanent failure (%s) after %d attempts" label (Ksim.Errno.to_string e)
-            attempt
+            "%a: permanent failure (%s) after %d attempts" pp_label label
+            (Ksim.Errno.to_string e) attempt
         end;
         Error e
   in
   go 1
 
-let read t blkno = run t (Printf.sprintf "read %d" blkno) (fun () -> t.base.Io.read blkno)
-
-let write t blkno data =
-  run t (Printf.sprintf "write %d" blkno) (fun () -> t.base.Io.write blkno data)
-
-let flush t = run t "flush" (fun () -> t.base.Io.flush ())
-
-let write_fua t blkno data =
-  run t (Printf.sprintf "write-fua %d" blkno) (fun () -> Io.fua t.base blkno data)
+let read t blkno = run t (Read blkno) (fun () -> t.base.Io.read blkno)
+let write t blkno data = run t (Write blkno) (fun () -> t.base.Io.write blkno data)
+let flush t = run t Flush (fun () -> t.base.Io.flush ())
+let write_fua t blkno data = run t (Write_fua blkno) (fun () -> Io.fua t.base blkno data)
 
 let io t : Io.t =
   {

@@ -60,11 +60,19 @@ type violation = {
   v_write_seq : int;
 }
 
+(* The registry with this cache's two sites, kept from [register] so an
+   I/O never looks a site up by name. *)
+type failpoints = {
+  fp : Ksim.Failpoint.t;
+  flush_dropped : Ksim.Failpoint.site;
+  writeback_reorder : Ksim.Failpoint.site;
+}
+
 type t = {
   name : string;
   base : Io.t;
   capacity : int;
-  fp : Ksim.Failpoint.t option;
+  fps : failpoints option;
   rng : Ksim.Rng.t; (* writeback victim selection *)
   seed : int;
   trace : Ksim.Ktrace.t;
@@ -86,9 +94,9 @@ type t = {
   mutable fua_writes : int;
 }
 
-let site t kind = t.name ^ "." ^ kind
-let flush_dropped_site t = site t "flush-dropped"
-let writeback_reorder_site t = site t "writeback-reorder"
+let site name kind = name ^ "." ^ kind
+let flush_dropped_site t = site t.name "flush-dropped"
+let writeback_reorder_site t = site t.name "writeback-reorder"
 
 (* Every recorded violation with its cache's name, newest first: what the
    KSIM_WCACHE_EXPORT hook writes.  It never holds a cache. *)
@@ -97,46 +105,44 @@ let sink : (string * violation) list ref = ref []
 let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0)
     ?(trace = Ksim.Ktrace.global) base =
   if capacity < 1 then invalid_arg "Wcache.create: capacity";
-  let t =
-    {
-      name;
-      base;
-      capacity;
-      fp;
-      rng = Ksim.Rng.of_int (seed + Hashtbl.hash name);
-      seed;
-      trace;
-      dirty = [];
-      epoch = [];
-      history = [];
-      next_seq = 0;
-      tainted = Hashtbl.create 16;
-      nviolations = 0;
-      violations = [];
-      writes = 0;
-      reads = 0;
-      cache_hits = 0;
-      flushes = 0;
-      flush_drops = 0;
-      writebacks = 0;
-      reordered_writebacks = 0;
-      writeback_errors = 0;
-      fua_writes = 0;
-    }
-  in
-  (match fp with
-  | Some fp ->
-      ignore (Ksim.Failpoint.register fp (flush_dropped_site t));
-      ignore (Ksim.Failpoint.register fp (writeback_reorder_site t))
-  | None -> ());
-  t
+  {
+    name;
+    base;
+    capacity;
+    fps =
+      Option.map
+        (fun fp ->
+          let register kind = Ksim.Failpoint.register fp (site name kind) in
+          let flush_dropped = register "flush-dropped" in
+          { fp; flush_dropped; writeback_reorder = register "writeback-reorder" })
+        fp;
+    rng = Ksim.Rng.of_int (seed + Hashtbl.hash name);
+    seed;
+    trace;
+    dirty = [];
+    epoch = [];
+    history = [];
+    next_seq = 0;
+    tainted = Hashtbl.create 16;
+    nviolations = 0;
+    violations = [];
+    writes = 0;
+    reads = 0;
+    cache_hits = 0;
+    flushes = 0;
+    flush_drops = 0;
+    writebacks = 0;
+    reordered_writebacks = 0;
+    writeback_errors = 0;
+    fua_writes = 0;
+  }
 
 let name t = t.name
 let dirty_blocks t = List.length t.dirty
 let unflushed_writes t = List.length t.epoch
 
-let should_fail t kind =
-  match t.fp with None -> false | Some fp -> Ksim.Failpoint.should_fail fp (site t kind)
+let should_fail t pick =
+  match t.fps with None -> false | Some f -> Ksim.Failpoint.fire f.fp (pick f)
 
 let in_range t blkno = blkno >= 0 && blkno < t.base.Io.nblocks
 
@@ -148,7 +154,7 @@ let evict_one t =
   match t.dirty with
   | [] -> ()
   | oldest :: _ ->
-      let reorder = should_fail t "writeback-reorder" in
+      let reorder = should_fail t (fun f -> f.writeback_reorder) in
       let victim =
         if reorder && List.length t.dirty > 1 then Ksim.Rng.pick t.rng t.dirty
         else oldest
@@ -256,7 +262,7 @@ let read t blkno =
 
 let flush t =
   t.flushes <- t.flushes + 1;
-  if should_fail t "flush-dropped" then begin
+  if should_fail t (fun f -> f.flush_dropped) then begin
     (* The lying drive: ack the barrier without doing the work.  Nothing
        is lost yet — the dirty set and the open epoch survive — but
        nothing became durable either. *)

@@ -74,8 +74,9 @@ val crash : t -> unit
     {e barrier epoch}) plus the closed epochs since {!take_durable} was
     last called.  A consumer materializes post-crash images by replaying
     a residue over its snapshot of the media as of the last
-    {!take_durable}.  Entry data is immutable, so over {!Blockdev}'s
-    shared blocks an image costs [nblocks] pointers plus the residue. *)
+    {!take_durable}.  Entry data is immutable, so over a copy-on-write
+    {!Media.copy} of that snapshot an image costs one pointer per chunk
+    plus the chunks the residue touches. *)
 
 val crash_frames : t -> frame list
 (** One frame per barrier interval in the retained window: the epochs

@@ -339,8 +339,9 @@ let mkfs_on ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = 
   fatal "flush" (t.io.Kblock.Io.flush ());
   t
 
+(* Mount parses straight from the device's shared blocks: no copies. *)
 let read_block dev blkno =
-  match Kblock.Blockdev.read dev blkno with
+  match Kblock.Blockdev.read_shared dev blkno with
   | Ok data -> data
   | Error e -> raise (Corrupt ("read: " ^ Ksim.Errno.to_string e))
 
@@ -371,24 +372,24 @@ let mount ?(geometry = default_geometry) ?(group_commit = false) ?(barriers = tr
   in
   (try
      let sb = read_block dev (sb_block geometry) in
-     if Kblock.Codec.get_u32 sb 0 <> fs_magic then raise (Corrupt "bad fs magic");
+     if Kblock.Codec.string_get_u32 sb 0 <> fs_magic then raise (Corrupt "bad fs magic");
      for ino = 0 to geometry.ninodes - 1 do
        let buf = read_block dev (inode_block geometry ino) in
-       if Bytes.get buf 0 = '\001' then begin
-         let kind = Bytes.get buf 1 in
-         let size = Kblock.Codec.get_u32 buf 2 in
-         let nblk = Kblock.Codec.get_u16 buf 6 in
+       if buf.[0] = '\001' then begin
+         let kind = buf.[1] in
+         let size = Kblock.Codec.string_get_u32 buf 2 in
+         let nblk = Kblock.Codec.string_get_u16 buf 6 in
          if nblk > max_direct geometry then raise (Corrupt "inode block count");
-         let blocks = List.init nblk (fun i -> Kblock.Codec.get_u32 buf (8 + (4 * i))) in
+         let blocks = List.init nblk (fun i -> Kblock.Codec.string_get_u32 buf (8 + (4 * i))) in
          List.iter
            (fun blkno ->
              if blkno < data_start geometry || blkno >= geometry.nblocks then
                raise (Corrupt "block pointer out of range"))
            blocks;
          let content = Buffer.create size in
-         List.iter (fun blkno -> Buffer.add_bytes content (read_block dev blkno)) blocks;
+         List.iter (fun blkno -> Buffer.add_string content (read_block dev blkno)) blocks;
          if size > Buffer.length content then raise (Corrupt "inode size beyond blocks");
-         let content = String.sub (Buffer.contents content) 0 size in
+         let content = Buffer.sub content 0 size in
          t.blocks_of.(ino) <- blocks;
          List.iter
            (fun blkno -> Bytes.set t.bitmap (blkno - data_start geometry) '\001')

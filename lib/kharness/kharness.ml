@@ -56,7 +56,7 @@ module Wdisk = struct
   type t = {
     dev : Kblock.Blockdev.t;
     wc : Kblock.Wcache.t;
-    media0 : string array; (* media as of the last settled epoch *)
+    media0 : Kblock.Media.t; (* media as of the last settled epoch *)
   }
 
   let fresh_dev () =
@@ -67,7 +67,7 @@ module Wdisk = struct
     Kblock.Wcache.create ~name:"wcache" ~capacity:wcache_capacity ~seed:1
       (Kblock.Blockdev.io dev)
 
-  let apply_entry media (e : Kblock.Wcache.entry) = media.(e.blkno) <- e.data
+  let apply_entry media (e : Kblock.Wcache.entry) = Kblock.Media.set media e.blkno e.data
 
   let settle d = List.iter (apply_entry d.media0) (Kblock.Wcache.take_durable d.wc)
 
@@ -80,14 +80,15 @@ module Wdisk = struct
   let of_dev dev = settled dev (wcache_over dev)
 
   (* Materialize post-crash devices: one per sampled residue, each a
-     fresh device whose media is [media0] (shared blocks: [nblocks]
-     pointers) plus the residue's writes in residue order.  Folds the
-     durable epochs afterwards. *)
+     fresh device whose media is a copy-on-write copy of [media0] (one
+     pointer per 64-block chunk) plus the residue's writes in residue
+     order, which copy only the chunks they touch.  Folds the durable
+     epochs afterwards. *)
   let crash_devs d ~limit =
     let devs =
       Kblock.Wcache.crash_residues d.wc ~limit
       |> List.map (fun residue ->
-             let media = Array.copy d.media0 in
+             let media = Kblock.Media.copy d.media0 in
              List.iter (apply_entry media) residue;
              Kblock.Blockdev.of_media ~block_size:geometry.Kfs.Journalfs.block_size media)
     in

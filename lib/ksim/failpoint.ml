@@ -77,8 +77,7 @@ let configure t name ?enabled ?probability ?interval ?times () =
 let disable_all t =
   Hashtbl.iter (fun _ s -> s.enabled <- false) t.sites
 
-let should_fail t name =
-  let s = register t name in
+let fire t s =
   s.hits <- s.hits + 1;
   if (not s.enabled) || s.times = 0 then false
   else if s.interval > 1 && s.hits mod s.interval <> 0 then false
@@ -86,10 +85,12 @@ let should_fail t name =
   else begin
     s.injected <- s.injected + 1;
     if s.times > 0 then s.times <- s.times - 1;
-    Ktrace.emitf t.trace ~category:"failpoint" "%s: injected (hit %d, injection %d)" name
+    Ktrace.emitf t.trace ~category:"failpoint" "%s: injected (hit %d, injection %d)" s.name
       s.hits s.injected;
     true
   end
+
+let should_fail t name = fire t (register t name)
 
 let hits t name = (register t name).hits
 let injected t name = (register t name).injected

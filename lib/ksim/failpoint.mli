@@ -54,6 +54,10 @@ val should_fail : t -> string -> bool
     the hit lands on the interval, and the site's RNG draw passes the
     probability gate. *)
 
+val fire : t -> site -> bool
+(** {!should_fail} on a site {!register} returned, without the lookup by
+    name: for call sites on a hot path that keep their sites. *)
+
 val hits : t -> string -> int
 val injected : t -> string -> int
 val total_injected : t -> int

@@ -130,7 +130,7 @@ REFINE_COVERAGE="$(pwd)/_build/refine-coverage.txt"
 rm -f "$REFINE_COVERAGE"
 refine_seed="${KSIM_REFINE_SEEDS:-11}"
 refine_seed="${refine_seed%%,*}"
-dune exec bin/safeos.exe -- refine --all --seed "$refine_seed" --ops 2000 \
+dune exec bin/safeos.exe -- refine --all --seed "$refine_seed" --ops 4000 \
   --crash-every 1 --images 4 --coverage-out "$REFINE_COVERAGE" > /dev/null \
   || { echo "ci: FAIL — a krefine harness diverged from Fs_spec" >&2; exit 1; }
 KSIM_REFINE_SEEDS="${KSIM_REFINE_SEEDS:-11}" dune exec test/test_krefine.exe -- test harnesses

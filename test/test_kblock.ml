@@ -61,6 +61,8 @@ let test_dev_last_write_wins () =
   Kblock.Blockdev.crash dev;
   check Alcotest.string "media last" (String.make 8 'b') (Bytes.to_string (read_ok dev 0))
 
+let media_blocks media = List.init (Kblock.Media.length media) (Kblock.Media.get media)
+
 let test_dev_crash_states_exhaustive () =
   let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
   write_ok dev 0 (block dev 'a');
@@ -71,7 +73,8 @@ let test_dev_crash_states_exhaustive () =
   (* The bare-media image must be included. *)
   check Alcotest.bool "empty image present" true
     (List.exists
-       (fun media -> Array.for_all (fun b -> b = String.make 8 '\000') media)
+       (fun media ->
+         List.for_all (fun b -> b = String.make 8 '\000') (media_blocks media))
        states)
 
 let test_dev_crash_states_dedup () =
@@ -81,7 +84,7 @@ let test_dev_crash_states_dedup () =
   let states = Kblock.Blockdev.crash_media_states dev ~limit:64 in
   check Alcotest.int "deduplicated" 2 (List.length states)
 
-let media_fingerprint media = String.concat "" (Array.to_list media)
+let media_fingerprint media = String.concat "" (media_blocks media)
 
 let test_dev_crash_states_limit_boundary () =
   let mk () =
@@ -119,6 +122,84 @@ let test_dev_snapshot_of_media () =
   write_ok dev2 0 (Bytes.of_string "WXYZ");
   Kblock.Blockdev.flush dev2;
   check Alcotest.string "original intact" "abcd" (Bytes.to_string (read_ok dev 0))
+
+(* Media: the copy-on-write block map ---------------------------------------- *)
+
+(* A family of media values driven by random set/copy/get calls must
+   agree with a plain-array model in which every copy is deep.  150
+   blocks leave the last 64-block chunk partial. *)
+let prop_media_matches_deep_copy_model =
+  let nblocks = 150 in
+  QCheck2.Test.make ~name:"media agrees with a deep-copy model" ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 1 80)
+        (quad (int_range 0 2) (int_range 0 1000) (int_range 0 1000) (char_range 'a' 'z')))
+    (fun script ->
+      let values = ref [| Kblock.Media.create ~nblocks "0" |] in
+      let model = ref [| Array.make nblocks "0" |] in
+      let agree = ref true in
+      List.iter
+        (fun (kind, v, i, c) ->
+          let v = v mod Array.length !values and i = i mod nblocks in
+          match kind with
+          | 0 ->
+              Kblock.Media.set !values.(v) i (String.make 1 c);
+              !model.(v).(i) <- String.make 1 c
+          | 1 ->
+              values := Array.append !values [| Kblock.Media.copy !values.(v) |];
+              model := Array.append !model [| Array.copy !model.(v) |]
+          | _ -> if Kblock.Media.get !values.(v) i <> !model.(v).(i) then agree := false)
+        script;
+      !agree
+      && Array.for_all2
+           (fun m expected -> media_blocks m = Array.to_list expected)
+           !values !model)
+
+let test_media_copy_is_o_chunks () =
+  let nblocks = 4096 in
+  let m = Kblock.Media.create ~nblocks (String.make 512 '\000') in
+  let w0 = Gc.minor_words () in
+  let c = Kblock.Media.copy m in
+  let copy_words = Gc.minor_words () -. w0 in
+  let chunks = nblocks / Kblock.Media.chunk in
+  if copy_words > float_of_int (2 * chunks) then
+    Alcotest.failf "copy allocated %.0f words for %d chunks (%d blocks)" copy_words chunks nblocks;
+  (* The first set to a shared chunk copies that chunk, not the disk. *)
+  let w1 = Gc.minor_words () in
+  Kblock.Media.set c 100 "x";
+  let set_words = Gc.minor_words () -. w1 in
+  if set_words > float_of_int (2 * Kblock.Media.chunk) then
+    Alcotest.failf "first set allocated %.0f words (chunk is %d blocks)" set_words
+      Kblock.Media.chunk;
+  (* Later sets to the now-owned chunk allocate nothing. *)
+  let w2 = Gc.minor_words () in
+  Kblock.Media.set c 101 "y";
+  check (Alcotest.float 0.) "owned set allocates nothing" 0. (Gc.minor_words () -. w2);
+  check Alcotest.string "copy sees its write" "x" (Kblock.Media.get c 100);
+  check Alcotest.string "source unchanged" (String.make 512 '\000') (Kblock.Media.get m 100);
+  (* Both sides gave up ownership: the source's next set copies too. *)
+  Kblock.Media.set m 100 "z";
+  check Alcotest.string "copy unchanged" "x" (Kblock.Media.get c 100)
+
+let test_dev_read_shared_matches_read () =
+  let dev = Kblock.Blockdev.create ~nblocks:8 ~block_size:4 in
+  write_ok dev 1 (Bytes.of_string "aaaa");
+  write_ok dev 2 (Bytes.of_string "bbbb");
+  Kblock.Blockdev.flush dev;
+  (* pending on top of the media, one block overwritten twice *)
+  write_ok dev 2 (Bytes.of_string "cccc");
+  write_ok dev 3 (Bytes.of_string "dddd");
+  write_ok dev 3 (Bytes.of_string "eeee");
+  check Alcotest.int "writes pending" 3 (Kblock.Blockdev.pending_writes dev);
+  for b = 0 to 7 do
+    match Kblock.Blockdev.read_shared dev b with
+    | Ok s ->
+        check Alcotest.string (Printf.sprintf "block %d" b) (Bytes.to_string (read_ok dev b)) s
+    | Error e -> fail ("read_shared: " ^ Ksim.Errno.to_string e)
+  done;
+  check Alcotest.bool "read_shared out of range" true
+    (Kblock.Blockdev.read_shared dev 8 = Error Ksim.Errno.EIO);
+  check Alcotest.int "both count as reads" 16 (Kblock.Blockdev.reads dev)
 
 let prop_flush_then_crash_preserves_all =
   QCheck2.Test.make ~name:"flush makes all writes durable" ~count:100
@@ -540,6 +621,34 @@ let test_resilient_permanent_verdict () =
   check Alcotest.int "permanent verdict" 1 (Kblock.Resilient.permanent_failures r);
   check Alcotest.int "budget consumed" 2 (Kblock.Resilient.retries r)
 
+(* The trace text of the recovered and permanent-failure paths, one op
+   of each kind. *)
+let test_resilient_trace_text () =
+  let dev = Kblock.Blockdev.create ~nblocks:8 ~block_size:8 in
+  let trace = Ksim.Ktrace.create () in
+  let r =
+    Kblock.Resilient.create ~max_attempts:2 ~trace
+      (unreliable_io ~failures:1 (Kblock.Blockdev.io dev))
+  in
+  let (_ : bytes Ksim.Errno.r) = Kblock.Resilient.read r 3 in
+  let dead =
+    Kblock.Resilient.create ~max_attempts:2 ~trace
+      (unreliable_io ~failures:99 (Kblock.Blockdev.io dev))
+  in
+  let (_ : unit Ksim.Errno.r) = Kblock.Resilient.write dead 5 (block dev 'w') in
+  let (_ : unit Ksim.Errno.r) = Kblock.Resilient.write_fua dead 6 (block dev 'w') in
+  let (_ : unit Ksim.Errno.r) = Kblock.Resilient.flush dead in
+  check
+    Alcotest.(list string)
+    "messages"
+    [
+      "read 3: recovered on attempt 2";
+      "write 5: permanent failure (EIO) after 2 attempts";
+      "write-fua 6: permanent failure (EIO) after 2 attempts";
+      "flush: permanent failure (EIO) after 2 attempts";
+    ]
+    (List.map (fun (e : Ksim.Ktrace.event) -> e.Ksim.Ktrace.message) (Ksim.Ktrace.events trace))
+
 let test_resilient_nontransient_immediate () =
   let dev = Kblock.Blockdev.create ~nblocks:8 ~block_size:8 in
   let r = Kblock.Resilient.create ~max_attempts:4 (Kblock.Blockdev.io dev) in
@@ -634,7 +743,11 @@ let () =
         :: Alcotest.test_case "crash states limit boundary" `Quick
              test_dev_crash_states_limit_boundary
         :: Alcotest.test_case "snapshot is deep" `Quick test_dev_snapshot_of_media
+        :: Alcotest.test_case "read_shared matches read" `Quick test_dev_read_shared_matches_read
         :: qcheck [ prop_flush_then_crash_preserves_all; prop_blockdev_satisfies_axioms ] );
+      ( "media",
+        Alcotest.test_case "copy is O(chunks)" `Quick test_media_copy_is_o_chunks
+        :: qcheck [ prop_media_matches_deep_copy_model ] );
       ( "buffer_head",
         Alcotest.test_case "valid combinations" `Quick test_bh_valid_combinations
         :: Alcotest.test_case "invalid combinations" `Quick test_bh_invalid_combinations
@@ -676,6 +789,7 @@ let () =
           Alcotest.test_case "resilient nontransient immediate" `Quick
             test_resilient_nontransient_immediate;
           Alcotest.test_case "resilient seeded jitter" `Quick test_resilient_seeded_jitter;
+          Alcotest.test_case "resilient trace text" `Quick test_resilient_trace_text;
         ] );
       ( "supervised",
         [

@@ -116,7 +116,8 @@ let test_at_scale () =
    --crash-every 4 --images 4`): its coverage fingerprints must stay
    byte-identical across every change to the disk or crash model, and the
    process's peak heap must stay under a ceiling, so a leak of crash
-   images fails here by name rather than in the OOM killer. *)
+   images fails here by name rather than in the OOM killer.  The sweep
+   runs once per process and is shared by the two tests below. *)
 let pinned_fingerprints =
   [
     ("journalfs", "ecc0a75377473a80dcd8bcc2dc1ffc0b");
@@ -126,23 +127,63 @@ let pinned_fingerprints =
 
 let heap_ceiling_mb = 64
 
+type sweep_run = { entry : Kharness.entry; cov : Krefine.coverage; top_mb : int }
+
+(* Words allocated by the [Kharness.run] calls alone (the trace is
+   recorded first), counted as minor + major - promoted so the figure is
+   the program's own allocation, independent of GC timing. *)
+let pinned_sweep =
+  lazy
+    (let t = trace ~target_ops:2000 ~seed:11 in
+     let config =
+       { Krefine.default_config with Krefine.seed = 11; images_per_op = 4; crash_every = 4 }
+     in
+     let words () =
+       let g = Gc.quick_stat () in
+       g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+     in
+     let w0 = words () in
+     let runs =
+       List.map
+         (fun entry ->
+           let cov = Kharness.run ~config entry t in
+           let top_mb = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) / 1_000_000 in
+           { entry; cov; top_mb })
+         (Kharness.all ())
+     in
+     let states = List.fold_left (fun n r -> n + r.cov.Krefine.states_explored) 0 runs in
+     (runs, (words () -. w0) /. float_of_int states, states))
+
+(* Allocation ceiling: words allocated per refine state over the pinned
+   sweep.  Like [test_kload]'s ceiling it depends on what earlier tests
+   left in the process, so this case runs first in the binary, where it
+   measures 11,680 words per state (11,583 states), the same alone and
+   in the whole suite.  Before crash images were copy-on-write (a flat
+   block-pointer array copied twice per image, and recovery mounts that
+   copied every block they parsed) it measured 19,448, which fails the
+   ceiling.  The ceiling is 1.25x the figure. *)
+let alloc_base_words_per_state = 11_700.0
+let alloc_ceiling_words_per_state = 1.25 *. alloc_base_words_per_state
+
+let test_alloc_ceiling () =
+  let _, per_state, states = Lazy.force pinned_sweep in
+  Printf.printf "pinned sweep: %.1f words allocated per state (%d states; ceiling %.0f)\n"
+    per_state states alloc_ceiling_words_per_state;
+  if per_state > alloc_ceiling_words_per_state then
+    Alcotest.failf "refine allocation ceiling: %.1f words/state > %.0f (1.25 x %.0f)" per_state
+      alloc_ceiling_words_per_state alloc_base_words_per_state
+
 let test_pinned_sweep () =
-  let t = trace ~target_ops:2000 ~seed:11 in
-  let config =
-    { Krefine.default_config with Krefine.seed = 11; images_per_op = 4; crash_every = 4 }
-  in
+  let runs, _, _ = Lazy.force pinned_sweep in
   List.iter
-    (fun (e : Kharness.entry) ->
-      let cov = Kharness.run ~config e t in
-      let top_mb = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) / 1_000_000 in
-      if top_mb > heap_ceiling_mb then
-        Alcotest.failf "%s: peak heap %d MB over the %d MB ceiling" e.Kharness.hname top_mb
-          heap_ceiling_mb;
-      check Alcotest.string
-        (e.Kharness.hname ^ ": pinned fingerprint")
-        (List.assoc e.Kharness.hname pinned_fingerprints)
-        (Krefine.coverage_fingerprint cov))
-    (Kharness.all ())
+    (fun r ->
+      let name = r.entry.Kharness.hname in
+      if r.top_mb > heap_ceiling_mb then
+        Alcotest.failf "%s: peak heap %d MB over the %d MB ceiling" name r.top_mb heap_ceiling_mb;
+      check Alcotest.string (name ^ ": pinned fingerprint")
+        (List.assoc name pinned_fingerprints)
+        (Krefine.coverage_fingerprint r.cov))
+    runs
 
 (* Divergence reporting -------------------------------------------------- *)
 
@@ -272,6 +313,9 @@ let test_registry () =
 let () =
   Alcotest.run "krefine"
     [
+      (* First: see [test_alloc_ceiling]. *)
+      ( "alloc",
+        [ Alcotest.test_case "allocation ceiling (words per state)" `Quick test_alloc_ceiling ] );
       ( "harnesses",
         [
           Alcotest.test_case "trace recording" `Quick test_trace_recording;

@@ -612,6 +612,31 @@ let test_failpoint_probability_replayable () =
   let fired_c = List.init 64 (fun _ -> Ksim.Failpoint.should_fail fp2 "p") in
   check Alcotest.(list bool) "independent of registration order" fired_a fired_c
 
+(* [fire] on a kept site is [should_fail] by name: same stream, same
+   counters, same schedule text, and configuring the site by name after
+   it was kept reaches the kept record. *)
+let test_failpoint_fire_is_should_fail () =
+  let run use_site =
+    let fp = Ksim.Failpoint.create ~trace:(Ksim.Ktrace.create ()) ~seed:77 () in
+    let site = Ksim.Failpoint.register fp "dev.read-eio" in
+    Ksim.Failpoint.configure fp "dev.read-eio" ~enabled:true ~probability:0.4 ~interval:2
+      ~times:5 ();
+    let fired =
+      List.init 64 (fun _ ->
+          if use_site then Ksim.Failpoint.fire fp site
+          else Ksim.Failpoint.should_fail fp "dev.read-eio")
+    in
+    (fired, Ksim.Failpoint.hits fp "dev.read-eio", Ksim.Failpoint.injected fp "dev.read-eio",
+     Ksim.Failpoint.schedule fp)
+  in
+  let fired_a, hits_a, inj_a, sched_a = run false in
+  let fired_b, hits_b, inj_b, sched_b = run true in
+  check Alcotest.(list bool) "same draws" fired_a fired_b;
+  check Alcotest.int "same hits" hits_a hits_b;
+  check Alcotest.int "same injections" inj_a inj_b;
+  check Alcotest.bool "some injections" true (inj_b > 0);
+  check Alcotest.(list string) "same schedule" sched_a sched_b
+
 (* The knobs interact: [interval] gates eligibility by hit count, [times]
    budgets the injections, and exhaustion is observable and reversible by
    re-configuring. *)
@@ -1185,6 +1210,7 @@ let () =
           Alcotest.test_case "interval and times" `Quick test_failpoint_interval_and_times;
           Alcotest.test_case "disabled and heal" `Quick test_failpoint_disabled_and_heal;
           Alcotest.test_case "probability replayable" `Quick test_failpoint_probability_replayable;
+          Alcotest.test_case "fire is should_fail" `Quick test_failpoint_fire_is_should_fail;
           Alcotest.test_case "interval x times exhaustion" `Quick
             test_failpoint_interval_times_exhaustion;
           Alcotest.test_case "re-configure after disable_all" `Quick

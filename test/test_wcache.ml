@@ -378,7 +378,7 @@ let cache_loss_torture seed =
   ignore (Kblock.Wcache.take_durable wc);
   let media0 = Kblock.Blockdev.snapshot_media dev in
   let apply_entry media (e : Kblock.Wcache.entry) =
-    media.(e.blkno) <- e.data
+    Kblock.Media.set media e.blkno e.data
   in
   let p = Kspec.Fs_spec.path_of_string in
   let key = "/k" in
@@ -393,7 +393,7 @@ let cache_loss_torture seed =
     List.iter
       (fun residue ->
         incr images;
-        let media = Array.copy media0 in
+        let media = Kblock.Media.copy media0 in
         List.iter (apply_entry media) residue;
         let dev' = Kblock.Blockdev.of_media ~block_size:g.block_size media in
         let fs' = Kfs.Journalfs.mount ~geometry:g Kfs.Journalfs.Journaled dev' in
