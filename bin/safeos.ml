@@ -56,27 +56,48 @@ let crash_test mode ops images =
            | Kspec.Fs_spec.Write { data; _ } -> String.length data <= 512
            | _ -> true)
   in
-  let check name (module F : Kspec.Crash.CRASHABLE_FS) =
-    let verdict = Kspec.Crash.check (module F) ~images_per_point:images trace in
-    Fmt.pr "%-10s ops=%d crash-points=%d images=%d failures=%d -> %s@." name
-      verdict.Kspec.Crash.ops_executed verdict.Kspec.Crash.crash_points
-      verdict.Kspec.Crash.images_checked
-      (List.length verdict.Kspec.Crash.failures)
-      (if Kspec.Crash.is_safe verdict then "CRASH-SAFE" else "UNSAFE");
-    List.iteri
-      (fun i f -> if i < 3 then Fmt.pr "    %a@." Kspec.Crash.pp_failure f)
-      verdict.Kspec.Crash.failures;
-    Kspec.Crash.is_safe verdict
+  (* Krefine over the hostile disk: a crash point at every op, every
+     divergence collected. *)
+  let config =
+    {
+      Kspec.Krefine.default_config with
+      Kspec.Krefine.images_per_op = images;
+      crash_every = 1;
+      frontier_limit = max_int;
+      shrink = false;
+      max_divergences = max_int;
+    }
   in
+  let check name (Kharness.Packed (module M)) =
+    let cov = Kspec.Krefine.run ~config (module M) trace in
+    let safe = Kspec.Krefine.is_clean cov in
+    let outside_frontier =
+      List.filter
+        (fun d ->
+          match d.Kspec.Krefine.mismatch with Kspec.Krefine.Crash_divergence _ -> true | _ -> false)
+        cov.Kspec.Krefine.divergences
+    in
+    Fmt.pr "%-10s ops=%d crash-points=%d images=%d failures=%d (outside frontier %d) -> %s@." name
+      cov.Kspec.Krefine.ops cov.Kspec.Krefine.crash_points cov.Kspec.Krefine.crash_images
+      (List.length cov.Kspec.Krefine.divergences)
+      (List.length outside_frontier)
+      (if safe then "CRASH-SAFE" else "UNSAFE");
+    List.iteri
+      (fun i d -> if i < 3 then Fmt.pr "    %a@." Kspec.Krefine.pp_divergence d)
+      cov.Kspec.Krefine.divergences;
+    safe
+  in
+  let journaled () = check "journaled" Kharness.journalfs.Kharness.machine in
+  let group () = check "group" (Kharness.journalfs_group_commit ()) in
+  let direct () = check "direct" (Kharness.journalfs_direct ()) in
   match mode with
-  | "journaled" -> if check "journaled" (module Kfs.Journalfs.Crashable_journaled) then 0 else 1
-  | "group" ->
-      if check "group" (module Kfs.Journalfs.Crashable_journaled_group) then 0 else 1
-  | "direct" -> if check "direct" (module Kfs.Journalfs.Crashable_direct) then 0 else 1
+  | "journaled" -> if journaled () then 0 else 1
+  | "group" -> if group () then 0 else 1
+  | "direct" -> if direct () then 0 else 1
   | _ ->
-      let a = check "journaled" (module Kfs.Journalfs.Crashable_journaled) in
-      let g = check "group" (module Kfs.Journalfs.Crashable_journaled_group) in
-      let b = check "direct" (module Kfs.Journalfs.Crashable_direct) in
+      let a = journaled () in
+      let g = group () in
+      let b = direct () in
       Fmt.pr "@.expected shape: journaled and group-commit crash-safe, direct not.@.";
       if a && g && not b then 0 else 1
 

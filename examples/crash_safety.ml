@@ -1,7 +1,8 @@
 (* Crash-safety, demonstrated: the same file-system engine run twice —
-   once behind the write-ahead journal, once writing in place — crashed
-   after every operation, each crash image recovered and checked against
-   the crash-safe specification.
+   once behind the write-ahead journal, once writing in place — over a
+   volatile write-back disk, crashed after every operation, each crash
+   image (any subset of the unflushed writes, in any order) recovered
+   and checked against the crash-safe specification.
 
      dune exec examples/crash_safety.exe
 *)
@@ -25,28 +26,31 @@ let trace =
     Fs_spec.Unlink (p "/home/notes.txt");
   ]
 
-let report name (module F : Crash.CRASHABLE_FS) =
-  let verdict = Crash.check (module F) ~images_per_point:24 trace in
+let report name (Kharness.Packed (module M)) =
+  let config =
+    { Krefine.default_config with Krefine.images_per_op = 24; shrink = false; max_divergences = max_int }
+  in
+  let cov = Krefine.run ~config (module M) trace in
   Fmt.pr "%-10s  crash points: %2d   images checked: %3d   violations: %d   -> %s@." name
-    verdict.Crash.crash_points verdict.Crash.images_checked
-    (List.length verdict.Crash.failures)
-    (if Crash.is_safe verdict then "CRASH-SAFE" else "NOT crash-safe");
+    cov.Krefine.crash_points cov.Krefine.crash_images
+    (List.length cov.Krefine.divergences)
+    (if Krefine.is_clean cov then "CRASH-SAFE" else "NOT crash-safe");
   List.iteri
-    (fun i f -> if i < 4 then Fmt.pr "     %a@." Crash.pp_failure f)
-    verdict.Crash.failures
+    (fun i d -> if i < 4 then Fmt.pr "     %a@." Krefine.pp_divergence d)
+    cov.Krefine.divergences
 
 let () =
   Fmt.pr "trace (%d ops, fsync after op 4):@." (List.length trace);
   List.iteri (fun i op -> Fmt.pr "  %2d. %a@." i Fs_spec.pp_op op) trace;
   Fmt.pr "@.";
-  report "journaled" (module Kfs.Journalfs.Crashable_journaled);
-  report "direct" (module Kfs.Journalfs.Crashable_direct);
+  report "journaled" Kharness.journalfs.Kharness.machine;
+  report "direct" (Kharness.journalfs_direct ());
   Fmt.pr "@.";
 
-  (* Peek inside: what recovery actually does after a crash. *)
+  (* Peek inside: what recovery actually does after a crash.  Every
+     commit flushed, so the device holds everything the trace wrote. *)
   let fs = Kfs.Journalfs.Journaled_fs.mkfs () in
   List.iter (fun op -> ignore (Kfs.Journalfs.apply fs op)) trace;
-  Kblock.Blockdev.crash (Kfs.Journalfs.device fs);
   let recovered = Kfs.Journalfs.mount Kfs.Journalfs.Journaled (Kfs.Journalfs.device fs) in
   (match Kfs.Journalfs.journal_stats recovered with
   | Some stats ->

@@ -293,8 +293,9 @@ let flush t =
             Ok ())
   end
 
-(* The canonical single crash: every unflushed write is gone.  The base
-   keeps its own pending set; pair with [Blockdev.crash] for full loss. *)
+(* The canonical single crash: every write still in the cache is gone.
+   Writes already evicted stay on the durable base; a crash landing any
+   subset of the unflushed writes is legal. *)
 let crash t =
   t.dirty <- [];
   t.epoch <- [];

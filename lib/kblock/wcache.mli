@@ -64,9 +64,10 @@ val write_fua : t -> int -> bytes -> unit Ksim.Errno.r
 val flush : t -> unit Ksim.Errno.r
 
 val crash : t -> unit
-(** The canonical single crash: every unflushed write is gone.  The base
-    device keeps its own pending set — pair with [Blockdev.crash] for
-    total loss of everything unflushed. *)
+(** The canonical single crash: every write still in the cache is gone.
+    Writes already evicted to the base stay there — the base is durable
+    media, and a crash landing any subset of the unflushed writes is
+    legal. *)
 
 (** {1 Crash-surface enumeration}
 

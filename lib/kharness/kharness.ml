@@ -51,7 +51,9 @@ let wcache_capacity = 16
    allowed-recovery frontier resets at [Fsync], so crash instants from
    before the fsync stop being representable at later crash points; the
    fsync's own barrier epochs stay in the window and are exactly the
-   images that convict a missing-barrier journal. *)
+   images that convict a missing-barrier journal.  Those images are of a
+   crash before the fsync returns, so Krefine allows them any pre-fsync
+   frontier state as well as the synced one. *)
 module Wdisk = struct
   type t = {
     dev : Kblock.Blockdev.t;
@@ -78,6 +80,7 @@ module Wdisk = struct
 
   (* Wrap an existing device (a crash image) behind a fresh cold cache. *)
   let of_dev dev = settled dev (wcache_over dev)
+  let io d = Kblock.Wcache.io d.wc
 
   (* Materialize post-crash devices: one per sampled residue, each a
      fresh device whose media is a copy-on-write copy of [media0] (one
@@ -90,7 +93,7 @@ module Wdisk = struct
       |> List.map (fun residue ->
              let media = Kblock.Media.copy d.media0 in
              List.iter (apply_entry media) residue;
-             Kblock.Blockdev.of_media ~block_size:geometry.Kfs.Journalfs.block_size media)
+             Kblock.Blockdev.of_media ~block_size:(Kblock.Blockdev.block_size d.dev) media)
     in
     settle d;
     devs
@@ -101,6 +104,8 @@ end
 module Journalfs_prog_gen (B : sig
   val name : string
   val barriers : bool
+  val mode : Kfs.Journalfs.mode
+  val group_commit : bool
 end) =
 struct
   type program = Kfs.Journalfs.t
@@ -112,8 +117,8 @@ struct
     let dev = Wdisk.fresh_dev () in
     let wc = Wdisk.wcache_over dev in
     let fs =
-      Kfs.Journalfs.mkfs_on ~geometry ~barriers:B.barriers ~io:(Kblock.Wcache.io wc)
-        Kfs.Journalfs.Journaled dev
+      Kfs.Journalfs.mkfs_on ~geometry ~group_commit:B.group_commit ~barriers:B.barriers
+        ~io:(Kblock.Wcache.io wc) B.mode dev
     in
     (fs, Wdisk.settled dev wc)
 
@@ -134,17 +139,28 @@ struct
   let crash_disks d ~limit = List.map Wdisk.of_dev (Wdisk.crash_devs d ~limit)
 
   let recover (d : disk) =
-    ( Kfs.Journalfs.mount ~geometry ~barriers:B.barriers ~io:(Kblock.Wcache.io d.Wdisk.wc)
-        Kfs.Journalfs.Journaled d.Wdisk.dev,
+    ( Kfs.Journalfs.mount ~geometry ~group_commit:B.group_commit ~barriers:B.barriers
+        ~io:(Kblock.Wcache.io d.Wdisk.wc) B.mode d.Wdisk.dev,
       d )
 end
 
 module Journalfs_prog = Journalfs_prog_gen (struct
   let name = "journalfs"
   let barriers = true
+  let mode = Kfs.Journalfs.Journaled
+  let group_commit = false
 end)
 
 module Journalfs_machine = Krefine.Io_system (Journalfs_prog)
+
+let journalfs_variant ~name ~barriers ~mode ~group_commit =
+  let module P = Journalfs_prog_gen (struct
+    let name = name
+    let barriers = barriers
+    let mode = mode
+    let group_commit = group_commit
+  end) in
+  Packed (module Krefine.Io_system (P))
 
 (* The seeded missing-barrier mutant: the commit record flushes with its
    data blocks and the checkpoint superblock with its home writes (one
@@ -153,11 +169,19 @@ module Journalfs_machine = Krefine.Io_system (Journalfs_prog)
    while the rest vanish with replay disabled.  Not registered: it exists
    for the refinement checker to convict. *)
 let journalfs_missing_barrier () =
-  let module P = Journalfs_prog_gen (struct
-    let name = "journalfs.missing-barrier"
-    let barriers = false
-  end) in
-  Packed (module Krefine.Io_system (P))
+  journalfs_variant ~name:"journalfs.missing-barrier" ~barriers:false
+    ~mode:Kfs.Journalfs.Journaled ~group_commit:false
+
+(* The EXP-CRASH variants over the same hostile disk, unregistered like
+   the mutant: group commit (crash-safe, a crash drops the whole open
+   batch) and the unjournaled ablation (convicted). *)
+let journalfs_group_commit () =
+  journalfs_variant ~name:"journalfs.group-commit" ~barriers:true ~mode:Kfs.Journalfs.Journaled
+    ~group_commit:true
+
+let journalfs_direct () =
+  journalfs_variant ~name:"journalfs.direct" ~barriers:true ~mode:Kfs.Journalfs.Direct
+    ~group_commit:false
 
 (* Cowfs ----------------------------------------------------------------- *)
 

@@ -75,6 +75,35 @@ val journalfs_missing_barrier : unit -> packed
     the crash enumerator convicts exactly this fault, with a shrunk
     counterexample. *)
 
+val journalfs_group_commit : unit -> packed
+(** {!journalfs} with group commit ({!Kfs.Journalfs.mkfs_on}
+    [~group_commit:true]): operations batch into one transaction that
+    commits at [Fsync], so a crash legally drops the whole open batch.
+    Crash-safe.  Not registered. *)
+
+val journalfs_direct : unit -> packed
+(** {!journalfs} in [Direct] mode: the same block writes in place, no
+    journal.  The crash enumerator must convict it.  Not registered. *)
+
+(** The hostile disk under every disk-backed harness: a raw device behind
+    a {!Kblock.Wcache}, with the media snapshot crash images are built
+    over. *)
+module Wdisk : sig
+  type t
+
+  val of_dev : Kblock.Blockdev.t -> t
+  (** Put a fresh cold write-back cache in front of [dev]. *)
+
+  val io : t -> Kblock.Io.t
+  (** The cache as the FS's I/O path. *)
+
+  val crash_devs : t -> limit:int -> Kblock.Blockdev.t list
+  (** Up to [limit] post-crash devices: the media as of the last sweep
+      plus one sampled cache-loss residue each (subsets and reorderings
+      of the unflushed writes).  Folds the durable epochs afterwards, so
+      the next sweep starts from here. *)
+end
+
 val microreboot_sabotaged : ?panic_every:int -> unit -> packed
 (** The {!microreboot} machine with a seeded replay-skip fault: the
     remount-on-restart first zeroes the journal record blocks, so

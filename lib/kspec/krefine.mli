@@ -14,7 +14,9 @@
     - at every crash point, each post-crash image recovers to a state
       the crash-safe spec allows ({!Fs_spec.Crash_safe}), tracked by an
       incremental frontier instead of the quadratic
-      [allowed_recoveries] recomputation.
+      [allowed_recoveries] recomputation.  At an [Fsync] the crash
+      strikes before the fsync returns, so the pre-fsync frontier and
+      the synced state are both allowed.
 
     {!Io_system} composes a program with its disk into one machine whose
     crash step is [crash_disks] followed by [recover] — the betrfs

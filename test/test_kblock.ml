@@ -1,5 +1,6 @@
-(* Tests for the block layer: the crash-semantics device, the buffer_head
-   state machine, and the write-ahead journal. *)
+(* Tests for the block layer: the durable device and the write-back cache
+   a crash loses, the buffer_head state machine, and the write-ahead
+   journal. *)
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -21,9 +22,9 @@ let test_dev_read_write () =
   let dev = Kblock.Blockdev.create ~nblocks:8 ~block_size:16 in
   check Alcotest.string "zeroed" (String.make 16 '\000') (Bytes.to_string (read_ok dev 0));
   write_ok dev 3 (block dev 'x');
-  check Alcotest.string "cached read sees write" (String.make 16 'x')
+  check Alcotest.string "read sees write" (String.make 16 'x')
     (Bytes.to_string (read_ok dev 3));
-  check Alcotest.int "pending" 1 (Kblock.Blockdev.pending_writes dev)
+  check Alcotest.int "one write" 1 (Kblock.Blockdev.writes dev)
 
 let test_dev_errors () =
   let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
@@ -35,82 +36,44 @@ let test_dev_errors () =
     (Kblock.Blockdev.write dev 4 (Bytes.make 8 'a') = Error Ksim.Errno.EIO);
   check Alcotest.bool "write negative" true
     (Kblock.Blockdev.write dev (-1) (Bytes.make 8 'a') = Error Ksim.Errno.EIO);
-  (* Failed ops leave no trace: nothing cached, nothing counted pending. *)
-  check Alcotest.int "no pending after errors" 0 (Kblock.Blockdev.pending_writes dev)
+  (* Failed ops leave no trace: nothing written, nothing counted. *)
+  check Alcotest.int "no writes after errors" 0 (Kblock.Blockdev.writes dev)
+
+(* The device is durable media; what a crash loses is the write-back
+   cache in front of it. *)
+let wcache_over dev = Kblock.Wcache.create (Kblock.Blockdev.io dev)
+
+let wc_ok what = function
+  | Ok () -> ()
+  | Error e -> fail (what ^ ": " ^ Ksim.Errno.to_string e)
 
 let test_dev_crash_loses_cache () =
   let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-  write_ok dev 1 (block dev 'a');
-  Kblock.Blockdev.crash dev;
+  let wc = wcache_over dev in
+  wc_ok "write" (Kblock.Wcache.write wc 1 (block dev 'a'));
+  Kblock.Wcache.crash wc;
   check Alcotest.string "lost" (String.make 8 '\000') (Bytes.to_string (read_ok dev 1))
 
 let test_dev_flush_is_durable () =
   let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-  write_ok dev 1 (block dev 'a');
-  Kblock.Blockdev.flush dev;
-  Kblock.Blockdev.crash dev;
+  let wc = wcache_over dev in
+  wc_ok "write" (Kblock.Wcache.write wc 1 (block dev 'a'));
+  wc_ok "flush" (Kblock.Wcache.flush wc);
+  Kblock.Wcache.crash wc;
   check Alcotest.string "survives" (String.make 8 'a') (Bytes.to_string (read_ok dev 1));
-  check Alcotest.int "no pending" 0 (Kblock.Blockdev.pending_writes dev)
+  check Alcotest.int "no unflushed" 0 (Kblock.Wcache.unflushed_writes wc)
 
 let test_dev_last_write_wins () =
   let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-  write_ok dev 0 (block dev 'a');
-  write_ok dev 0 (block dev 'b');
-  check Alcotest.string "cache last" (String.make 8 'b') (Bytes.to_string (read_ok dev 0));
-  Kblock.Blockdev.flush dev;
-  Kblock.Blockdev.crash dev;
+  let wc = wcache_over dev in
+  wc_ok "write a" (Kblock.Wcache.write wc 0 (block dev 'a'));
+  wc_ok "write b" (Kblock.Wcache.write wc 0 (block dev 'b'));
+  (match Kblock.Wcache.read wc 0 with
+  | Ok data -> check Alcotest.string "cache last" (String.make 8 'b') (Bytes.to_string data)
+  | Error e -> fail ("read: " ^ Ksim.Errno.to_string e));
+  wc_ok "flush" (Kblock.Wcache.flush wc);
+  Kblock.Wcache.crash wc;
   check Alcotest.string "media last" (String.make 8 'b') (Bytes.to_string (read_ok dev 0))
-
-let media_blocks media = List.init (Kblock.Media.length media) (Kblock.Media.get media)
-
-let test_dev_crash_states_exhaustive () =
-  let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-  write_ok dev 0 (block dev 'a');
-  write_ok dev 1 (block dev 'b');
-  let states = Kblock.Blockdev.crash_media_states dev ~limit:64 in
-  (* 2 pending writes to distinct blocks: 4 distinct media images. *)
-  check Alcotest.int "2^2 images" 4 (List.length states);
-  (* The bare-media image must be included. *)
-  check Alcotest.bool "empty image present" true
-    (List.exists
-       (fun media ->
-         List.for_all (fun b -> b = String.make 8 '\000') (media_blocks media))
-       states)
-
-let test_dev_crash_states_dedup () =
-  let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-  write_ok dev 0 (block dev 'a');
-  write_ok dev 0 (block dev 'a') (* identical write: subsets collapse *);
-  let states = Kblock.Blockdev.crash_media_states dev ~limit:64 in
-  check Alcotest.int "deduplicated" 2 (List.length states)
-
-let media_fingerprint media = String.concat "" (media_blocks media)
-
-let test_dev_crash_states_limit_boundary () =
-  let mk () =
-    let dev = Kblock.Blockdev.create ~nblocks:4 ~block_size:8 in
-    write_ok dev 0 (block dev 'a');
-    write_ok dev 1 (block dev 'b');
-    write_ok dev 2 (block dev 'c');
-    dev
-  in
-  (* 3 pending writes: 8 subsets.  At limit = 8 enumeration is exhaustive. *)
-  let exhaustive = Kblock.Blockdev.crash_media_states (mk ()) ~limit:8 in
-  check Alcotest.int "exactly at limit: exhaustive" 8 (List.length exhaustive);
-  (* One below the boundary: the sampled fallback, still within limit,
-     still deduplicated, still containing the two must-have images. *)
-  let sampled = Kblock.Blockdev.crash_media_states (mk ()) ~limit:7 in
-  check Alcotest.bool "within limit" true (List.length sampled <= 7);
-  let prints = List.map media_fingerprint sampled in
-  check Alcotest.int "no duplicates" (List.length prints)
-    (List.length (List.sort_uniq compare prints));
-  let blank = String.make 32 '\000' in
-  check Alcotest.bool "bare media present" true (List.mem blank prints);
-  let full = String.concat "" [ String.make 8 'a'; String.make 8 'b'; String.make 8 'c'; String.make 8 '\000' ] in
-  check Alcotest.bool "all-survived present" true (List.mem full prints);
-  (* Every sampled image is one of the true subsets. *)
-  let all = List.map media_fingerprint exhaustive in
-  List.iter (fun p -> check Alcotest.bool "a real subset" true (List.mem p all)) prints
 
 let test_dev_snapshot_of_media () =
   let dev = Kblock.Blockdev.create ~nblocks:2 ~block_size:4 in
@@ -124,6 +87,8 @@ let test_dev_snapshot_of_media () =
   check Alcotest.string "original intact" "abcd" (Bytes.to_string (read_ok dev 0))
 
 (* Media: the copy-on-write block map ---------------------------------------- *)
+
+let media_blocks media = List.init (Kblock.Media.length media) (Kblock.Media.get media)
 
 (* A family of media values driven by random set/copy/get calls must
    agree with a plain-array model in which every copy is deep.  150
@@ -186,11 +151,11 @@ let test_dev_read_shared_matches_read () =
   write_ok dev 1 (Bytes.of_string "aaaa");
   write_ok dev 2 (Bytes.of_string "bbbb");
   Kblock.Blockdev.flush dev;
-  (* pending on top of the media, one block overwritten twice *)
+  (* writes after the barrier, one block overwritten twice *)
   write_ok dev 2 (Bytes.of_string "cccc");
   write_ok dev 3 (Bytes.of_string "dddd");
   write_ok dev 3 (Bytes.of_string "eeee");
-  check Alcotest.int "writes pending" 3 (Kblock.Blockdev.pending_writes dev);
+  check Alcotest.int "writes counted" 5 (Kblock.Blockdev.writes dev);
   for b = 0 to 7 do
     match Kblock.Blockdev.read_shared dev b with
     | Ok s ->
@@ -206,11 +171,12 @@ let prop_flush_then_crash_preserves_all =
     QCheck2.Gen.(list_size (int_range 1 20) (pair (int_range 0 7) (char_range 'a' 'z')))
     (fun writes ->
       let dev = Kblock.Blockdev.create ~nblocks:8 ~block_size:4 in
-      List.iter (fun (i, c) -> write_ok dev i (Bytes.make 4 c)) writes;
+      let wc = Kblock.Wcache.create ~capacity:4 (Kblock.Blockdev.io dev) in
+      List.iter (fun (i, c) -> wc_ok "write" (Kblock.Wcache.write wc i (Bytes.make 4 c))) writes;
       let expected = Array.make 8 '\000' in
       List.iter (fun (i, c) -> expected.(i) <- c) writes;
-      Kblock.Blockdev.flush dev;
-      Kblock.Blockdev.crash dev;
+      wc_ok "flush" (Kblock.Wcache.flush wc);
+      Kblock.Wcache.crash wc;
       List.for_all
         (fun i -> Bytes.to_string (read_ok dev i) = String.make 4 expected.(i))
         [ 0; 1; 2; 3; 4; 5; 6; 7 ])
@@ -286,7 +252,6 @@ let test_bh_cache_lifecycle () =
   check Alcotest.int "one dirty" 1 (dirty_count cache);
   sync cache;
   check Alcotest.int "clean after sync" 0 (dirty_count cache);
-  Kblock.Blockdev.crash dev;
   check Alcotest.string "synced to media" (String.make 16 'w') (Bytes.to_string (read_ok dev 2))
 
 let test_bh_mark_dirty_on_stale_buffer_caught () =
@@ -328,7 +293,7 @@ let test_bh_submit_clean_is_noop () =
   let cache = create dev in
   let bh = bread cache 0 in
   (match submit_write cache bh with Ok () -> () | Error _ -> fail "clean submit");
-  check Alcotest.int "no device write" 0 (Kblock.Blockdev.pending_writes dev)
+  check Alcotest.int "no device write" 0 (Kblock.Blockdev.writes dev)
 
 let prop_random_flagsets_validate_consistently =
   QCheck2.Test.make ~name:"validate agrees with is_valid" ~count:300
@@ -381,7 +346,6 @@ let test_journal_recovery_replays_committed () =
   ignore (Kblock.Journal.tx_write j tx ~blkno:(home + 1) (Bytes.make 64 'c'));
   (match Kblock.Journal.commit j tx with Ok () -> () | Error e -> fail (Ksim.Errno.to_string e));
   (* Crash before checkpoint: home writes never issued, journal durable. *)
-  Kblock.Blockdev.crash dev;
   let j2 = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:16 in
   check Alcotest.int "one tx replayed" 1 (Kblock.Journal.stats j2).Kblock.Journal.replayed_txs;
   check Alcotest.string "home 0" (String.make 64 'b') (Bytes.to_string (read_ok dev home));
@@ -395,7 +359,6 @@ let test_journal_recovery_ignores_uncommitted () =
   let tx = Kblock.Journal.tx_begin j in
   ignore (Kblock.Journal.tx_write j tx ~blkno:home (Bytes.make 64 'z'));
   (* Don't commit; instead crash with nothing journaled. *)
-  Kblock.Blockdev.crash dev;
   let j2 = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:16 in
   check Alcotest.int "nothing replayed" 0 (Kblock.Journal.stats j2).Kblock.Journal.replayed_txs;
   check Alcotest.string "home untouched" (String.make 64 '\000')
@@ -407,7 +370,6 @@ let test_journal_recovery_idempotent () =
   let tx = Kblock.Journal.tx_begin j in
   ignore (Kblock.Journal.tx_write j tx ~blkno:home (Bytes.make 64 'q'));
   ignore (Kblock.Journal.commit j tx);
-  Kblock.Blockdev.crash dev;
   let _ = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:16 in
   let j3 = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:16 in
   (* Second recovery: the tx is already checkpointed, nothing replays. *)
@@ -481,7 +443,6 @@ let prop_journal_crash_recovery_consistent =
           | Ok () -> List.iter (fun (i, c) -> Hashtbl.replace expected i c) writes
           | Error _ -> ())
         txs;
-      Kblock.Blockdev.crash dev;
       let _ = Kblock.Journal.recover (Kblock.Blockdev.io dev) ~jblocks:32 in
       Hashtbl.fold
         (fun i c acc ->
@@ -738,10 +699,6 @@ let () =
         :: Alcotest.test_case "crash loses cache" `Quick test_dev_crash_loses_cache
         :: Alcotest.test_case "flush durable" `Quick test_dev_flush_is_durable
         :: Alcotest.test_case "last write wins" `Quick test_dev_last_write_wins
-        :: Alcotest.test_case "crash states exhaustive" `Quick test_dev_crash_states_exhaustive
-        :: Alcotest.test_case "crash states dedup" `Quick test_dev_crash_states_dedup
-        :: Alcotest.test_case "crash states limit boundary" `Quick
-             test_dev_crash_states_limit_boundary
         :: Alcotest.test_case "snapshot is deep" `Quick test_dev_snapshot_of_media
         :: Alcotest.test_case "read_shared matches read" `Quick test_dev_read_shared_matches_read
         :: qcheck [ prop_flush_then_crash_preserves_all; prop_blockdev_satisfies_axioms ] );

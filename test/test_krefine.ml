@@ -4,7 +4,7 @@
    verdict in the seed, and the divergence reporters — a deliberately
    buggy machine must be convicted with a minimal counterexample, and a
    seeded replay-skip fault in the microreboot remount must be caught by
-   the lockstep check. *)
+   the lockstep check — and the crash-safety experiment (EXP-CRASH). *)
 
 open Kspec
 
@@ -310,6 +310,173 @@ let test_registry () =
     (fun s -> check Alcotest.bool (s ^ " covered") true (List.mem s subs))
     [ "journalfs"; "cowfs" ]
 
+(* EXP-CRASH ---------------------------------------------------------------- *)
+
+(* The crash-safety experiment on the one crash model: the journaled
+   file system over the hostile disk ([Kharness.journalfs], its group-
+   commit twin) must recover to a spec-allowed state at a crash point
+   after every op; the unjournaled twin must be convicted. *)
+
+(* Small deterministic traces that mix metadata and data, with an early
+   fsync so lost updates are actually illegal. *)
+let trace_with_fsync =
+  [
+    Fs_spec.Mkdir (p "/d");
+    Fs_spec.Create (p "/d/f");
+    Fs_spec.Write { file = p "/d/f"; off = 0; data = "synced" };
+    Fs_spec.Fsync;
+    Fs_spec.Write { file = p "/d/f"; off = 0; data = "later1" };
+    Fs_spec.Create (p "/d/g");
+    Fs_spec.Rename (p "/d/g", p "/d/h");
+    Fs_spec.Write { file = p "/d/h"; off = 0; data = "tail" };
+    Fs_spec.Unlink (p "/d/f");
+  ]
+
+let generated_trace ?(max_write = 256) seed ops =
+  Kfs.Workload.generate ~seed Kfs.Workload.Mixed ~ops
+  |> List.filter (fun op ->
+         match op with
+         | Fs_spec.Write { data; _ } -> String.length data <= max_write
+         | _ -> true)
+
+let crash_run ~images (Kharness.Packed (module M)) trace =
+  Krefine.run ~config:{ Krefine.default_config with Krefine.images_per_op = images } (module M) trace
+
+let journaled = Kharness.journalfs.Kharness.machine
+
+let check_crash_safe what cov =
+  if not (Krefine.is_clean cov) then Alcotest.failf "%s: %a" what Krefine.pp_coverage cov
+
+let test_journaled_safe_fixed_trace () =
+  let cov = crash_run ~images:16 journaled trace_with_fsync in
+  check Alcotest.int "every op crashed" (List.length trace_with_fsync) cov.Krefine.crash_points;
+  check Alcotest.bool "images explored" true (cov.Krefine.crash_images > 0);
+  check Alcotest.(list string) "no failures" []
+    (List.map (Fmt.str "%a" Krefine.pp_divergence) cov.Krefine.divergences)
+
+let test_journaled_safe_generated_traces () =
+  List.iter
+    (fun seed ->
+      check_crash_safe (Printf.sprintf "seed %d crash-safe" seed)
+        (crash_run ~images:8 journaled (generated_trace seed 20)))
+    [ 1; 2; 3; 4; 5 ]
+
+let test_group_commit_safe_generated_traces () =
+  (* Group commit defers durability but must never produce a non-prefix
+     state: the whole uncommitted batch disappears at once. *)
+  List.iter
+    (fun seed ->
+      check_crash_safe (Printf.sprintf "group seed %d crash-safe" seed)
+        (crash_run ~images:8 (Kharness.journalfs_group_commit ()) (generated_trace seed 20)))
+    [ 11; 12; 13 ]
+
+let test_group_commit_functional () =
+  (* Group mode must be functionally identical to per-op commit. *)
+  let trace = generated_trace 99 60 in
+  let a = Kfs.Journalfs.Journaled_fs.mkfs () in
+  let b = Kfs.Journalfs.Journaled_group_fs.mkfs () in
+  List.iter
+    (fun op ->
+      let ra = Kfs.Journalfs.apply a op and rb = Kfs.Journalfs.apply b op in
+      check Alcotest.bool "same result" true (Fs_spec.equal_result ra rb))
+    trace;
+  check Alcotest.bool "same final state" true
+    (Fs_spec.equal (Kfs.Journalfs.interpret a) (Kfs.Journalfs.interpret b))
+
+let test_group_commit_crash_loses_whole_batch () =
+  (* Without an fsync, a crash may erase the entire uncommitted batch —
+     and must erase it atomically (a legal prefix), never partially. *)
+  let dev = Kblock.Blockdev.create ~nblocks:1024 ~block_size:512 in
+  ignore (Kfs.Journalfs.mkfs_on Kfs.Journalfs.Journaled dev);
+  let wdisk = Kharness.Wdisk.of_dev dev in
+  let fs =
+    Kfs.Journalfs.mount ~group_commit:true ~io:(Kharness.Wdisk.io wdisk)
+      Kfs.Journalfs.Journaled dev
+  in
+  ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/a")));
+  ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/b")));
+  let stat fs path = Kfs.Journalfs.apply fs (Fs_spec.Stat (p path)) in
+  let images = Kharness.Wdisk.crash_devs wdisk ~limit:16 in
+  check Alcotest.bool "crash images" true (images <> []);
+  (* Both creates were in the open (uncommitted) transaction: both gone. *)
+  List.iter
+    (fun img ->
+      let fs2 = Kfs.Journalfs.mount ~group_commit:true Kfs.Journalfs.Journaled img in
+      check Alcotest.bool "a gone" true (stat fs2 "/a" = Error Ksim.Errno.ENOENT);
+      check Alcotest.bool "b gone" true (stat fs2 "/b" = Error Ksim.Errno.ENOENT))
+    images;
+  (* With an fsync, the batch commits and survives. *)
+  ignore (Kfs.Journalfs.apply fs Fs_spec.Fsync);
+  let fs3 = Kfs.Journalfs.mount ~group_commit:true Kfs.Journalfs.Journaled dev in
+  check Alcotest.bool "synced batch survives" true
+    (stat fs3 "/a" = Ok (Fs_spec.Attr { kind = `File; size = 0 }))
+
+let test_crash_mid_fsync_may_land_before_it () =
+  (* A crash point at an [Fsync] strikes while the fsync is in flight:
+     under group commit its images can still hold the pre-fsync state
+     (the batch not yet committed), which the crash-safe spec allows.
+     Judging them against the synced state alone is a false alarm. *)
+  let cov =
+    crash_run ~images:8 (Kharness.journalfs_group_commit ()) [ Fs_spec.Mkdir (p "/blob"); Fs_spec.Fsync ]
+  in
+  check_crash_safe "mkdir; fsync under group commit" cov;
+  check Alcotest.bool "images at the fsync" true (cov.Krefine.crash_images > 1)
+
+let test_direct_mode_convicted () =
+  (* The same engine, no journal: some crash image must recover outside
+     the crash-safe frontier on a trace with an early fsync. *)
+  let crash_divergences =
+    List.concat_map
+      (fun seed ->
+        let trace = (Fs_spec.Fsync :: trace_with_fsync) @ generated_trace seed 15 in
+        (crash_run ~images:16 (Kharness.journalfs_direct ()) trace).Krefine.divergences)
+      [ 1; 2; 3 ]
+    |> List.filter (fun d ->
+           match d.Krefine.mismatch with Krefine.Crash_divergence _ -> true | _ -> false)
+  in
+  check Alcotest.bool "unjournaled FS violates crash safety" true (crash_divergences <> [])
+
+let test_journal_replay_counted () =
+  (* Crash after un-checkpointed commits: remount must replay. *)
+  let fs = Kfs.Journalfs.Journaled_fs.mkfs () in
+  ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/a")));
+  ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/b")));
+  let fs2 = Kfs.Journalfs.mount Kfs.Journalfs.Journaled (Kfs.Journalfs.device fs) in
+  match Kfs.Journalfs.journal_stats fs2 with
+  | Some stats ->
+      check Alcotest.bool "replayed transactions" true (stats.Kblock.Journal.replayed_txs >= 1)
+  | None -> Alcotest.fail "journal missing"
+
+let test_fsync_checkpoint_makes_replay_unnecessary () =
+  let fs = Kfs.Journalfs.Journaled_fs.mkfs () in
+  ignore (Kfs.Journalfs.apply fs (Fs_spec.Create (p "/a")));
+  ignore (Kfs.Journalfs.apply fs Fs_spec.Fsync);
+  let fs2 = Kfs.Journalfs.mount Kfs.Journalfs.Journaled (Kfs.Journalfs.device fs) in
+  (match Kfs.Journalfs.journal_stats fs2 with
+  | Some stats -> check Alcotest.int "nothing to replay" 0 stats.Kblock.Journal.replayed_txs
+  | None -> Alcotest.fail "journal missing");
+  check Alcotest.bool "state intact" true
+    (Kfs.Journalfs.apply fs2 (Fs_spec.Stat (p "/a"))
+    = Ok (Fs_spec.Attr { kind = `File; size = 0 }))
+
+let test_crash_check_not_vacuous () =
+  (* The [safeos crash-test] trace (seed 11, 25 ops, 16 images): a crash
+     checker that sees little more than the bare media at each point
+     proves nothing.  The write-back disk yields 235 images over 25
+     points. *)
+  let trace = generated_trace ~max_write:512 11 25 in
+  let cov = crash_run ~images:16 journaled trace in
+  check_crash_safe "crash-test trace" cov;
+  if cov.Krefine.crash_images <= 4 * cov.Krefine.crash_points then
+    Alcotest.failf "%d images over %d crash points: at most 4 per point" cov.Krefine.crash_images
+      cov.Krefine.crash_points
+
+(* Random traces, journaled mode, always crash-safe. *)
+let prop_journaled_always_crash_safe =
+  QCheck2.Test.make ~name:"journalfs crash-safe on random traces" ~count:15
+    QCheck2.Gen.(int_range 10 999)
+    (fun seed -> Krefine.is_clean (crash_run ~images:6 journaled (generated_trace seed 12)))
+
 let () =
   Alcotest.run "krefine"
     [
@@ -336,4 +503,20 @@ let () =
           Alcotest.test_case "missing-barrier mutant convicted" `Quick
             test_missing_barrier_convicted;
         ] );
+      ( "exp-crash",
+        Alcotest.test_case "journaled safe (fixed trace)" `Quick test_journaled_safe_fixed_trace
+        :: Alcotest.test_case "journaled safe (generated)" `Quick
+             test_journaled_safe_generated_traces
+        :: Alcotest.test_case "group commit crash-safe" `Quick
+             test_group_commit_safe_generated_traces
+        :: Alcotest.test_case "group commit functional" `Quick test_group_commit_functional
+        :: Alcotest.test_case "group commit loses whole batch" `Quick
+             test_group_commit_crash_loses_whole_batch
+        :: Alcotest.test_case "crash mid-fsync may land before it" `Quick
+             test_crash_mid_fsync_may_land_before_it
+        :: Alcotest.test_case "direct mode convicted" `Quick test_direct_mode_convicted
+        :: Alcotest.test_case "replay counted" `Quick test_journal_replay_counted
+        :: Alcotest.test_case "fsync checkpoint" `Quick test_fsync_checkpoint_makes_replay_unnecessary
+        :: Alcotest.test_case "crash check not vacuous" `Quick test_crash_check_not_vacuous
+        :: List.map QCheck_alcotest.to_alcotest [ prop_journaled_always_crash_safe ] );
     ]

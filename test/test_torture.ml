@@ -6,7 +6,7 @@
      Journalfs (Journaled)  — aborts + errors=remount-ro on permanent EIO
        Resilient            — bounded retries, deterministic backoff
          Flakydev           — failpoint-driven EIO / torn writes
-           Blockdev         — volatile write cache, crash = cache drop
+           Blockdev         — durable media: a crash keeps every write
 
    Everything is driven by one integer seed: the workload, the fault
    schedule (via [Ksim.Failpoint]) and the tear offsets are all derived
@@ -86,9 +86,8 @@ let run_torture ~seed =
   arm_faults fp;
   let ops = gen_ops (Ksim.Rng.of_int seed) 40 in
   let executed = run_workload fs ops in
-  (* Crash: the volatile cache is gone; mount replays the journal over a
-     now-reliable device (the fault window is over). *)
-  Kblock.Blockdev.crash dev;
+  (* Crash: mount replays the journal over a now-reliable device (the
+     fault window is over). *)
   let healed = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev in
   if Kfs.Journalfs.is_corrupt healed then fail (Printf.sprintf "seed %d: corrupt after recovery" seed);
   {
@@ -157,8 +156,12 @@ let test_post_recovery_crash_spec_recheck () =
       arm_faults fp;
       let executed = run_workload fs (gen_ops (Ksim.Rng.of_int seed) 40) in
       check Alcotest.bool "same executed history" true (executed = o.executed);
-      Kblock.Blockdev.crash dev;
-      let healed = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev in
+      (* Recover behind the harnesses' hostile disk, so every post-op
+         crash image is a write-back cache residue. *)
+      let wdisk = Kharness.Wdisk.of_dev dev in
+      let healed =
+        Kfs.Journalfs.mount ~geometry ~io:(Kharness.Wdisk.io wdisk) Kfs.Journalfs.Journaled dev
+      in
       let start = Kfs.Journalfs.interpret healed in
       (* The spec continues from the recovered state: durable = volatile =
          what recovery produced. *)
@@ -183,7 +186,9 @@ let test_post_recovery_crash_spec_recheck () =
                 fail
                   (Printf.sprintf "seed %d: illegal recovery after post-op %d, image %d" seed i
                      image_index))
-            (Kfs.Journalfs.crash_images healed ~limit:16))
+            (List.map
+               (Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled)
+               (Kharness.Wdisk.crash_devs wdisk ~limit:16)))
         post_ops)
     seeds
 
@@ -225,7 +230,6 @@ let test_permanent_failure_remounts_readonly () =
   check Alcotest.bool "fsync is a quiet no-op" true
     (Kfs.Journalfs.apply fs Fs_spec.Fsync = Ok Fs_spec.Unit);
   (* Crash-safety held through the abort: recovery sees the synced state. *)
-  Kblock.Blockdev.crash dev;
   let healed = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev in
   check Alcotest.bool "not corrupt" false (Kfs.Journalfs.is_corrupt healed);
   let executed =
@@ -392,7 +396,6 @@ let test_supervised_panic_recovers () =
         true
         (Fs_spec.Crash_safe.is_allowed_recovery o.s_executed o.s_recovered);
       (* And a real crash on top of the microreboot is still legal. *)
-      Kblock.Blockdev.crash dev;
       let healed = Kfs.Journalfs.mount ~geometry Kfs.Journalfs.Journaled dev in
       if Kfs.Journalfs.is_corrupt healed then
         fail (Printf.sprintf "seed %d: corrupt after post-reboot crash" seed);

@@ -94,6 +94,30 @@ let test_residues_exhaustive_with_reorderings () =
   in
   check bool "a non-prefix residue exists" true (List.exists non_prefix residues)
 
+(* The image limit: unflushed writes to distinct blocks, so a residue's
+   image is its set of (block, content) pairs.  Three writes reach
+   exactly 2^3 images, all of them at limit 8.  Past the exhaustive
+   range (five writes), a sample one under the corners' count stays
+   within the limit and distinct, and keeps both the nothing-landed and
+   the everything-landed image. *)
+let test_residues_limit_boundary () =
+  let image r = List.sort compare (List.map (fun (e : Kblock.Wcache.entry) -> (e.blkno, e.data)) r) in
+  let residues n ~limit =
+    let wc = Kblock.Wcache.create (Kblock.Blockdev.io (mk_dev ())) in
+    for b = 0 to n - 1 do
+      ok "write" (Kblock.Wcache.write wc b (blk (Char.chr (Char.code 'a' + b))))
+    done;
+    List.map image (Kblock.Wcache.crash_residues wc ~limit)
+  in
+  check int "exactly at limit: exhaustive" 8 (List.length (residues 3 ~limit:8));
+  check int "no more past it" 8 (List.length (residues 3 ~limit:64));
+  let sampled = residues 5 ~limit:7 in
+  check int "within limit" 7 (List.length sampled);
+  check int "no duplicates" 7 (List.length (List.sort_uniq compare sampled));
+  check bool "nothing landed present" true (List.mem [] sampled);
+  check bool "everything landed present" true
+    (List.exists (fun i -> List.length i = 5) sampled)
+
 let test_fua_in_every_residue () =
   let dev = mk_dev () in
   let wc = Kblock.Wcache.create (Kblock.Blockdev.io dev) in
@@ -530,6 +554,7 @@ let () =
         [
           Alcotest.test_case "exhaustive with reorderings" `Quick
             test_residues_exhaustive_with_reorderings;
+          Alcotest.test_case "limit boundary" `Quick test_residues_limit_boundary;
           Alcotest.test_case "fua survives every crash" `Quick test_fua_in_every_residue;
           Alcotest.test_case "take_durable closes the window" `Quick test_take_durable;
         ] );
