@@ -2,16 +2,13 @@
    boot registry's level claims, and gate CI.
 
    Exit codes: 0 clean (or only baselined/permitted findings),
-   1 non-baselined violations, 2 operational errors (parse failure,
-   bad baseline, missing tree). *)
+   1 non-baselined violations or a ratchet regression, 2 operational
+   errors (parse failure, missing or malformed ratchet, missing tree). *)
 
 let ( / ) = Filename.concat
 
-let run root_opt baseline_opt report_opt update_baseline verbose lockdep_edges lock_graph_dot
-    kmem_events tcb_baseline_opt update_tcb_baseline allow_tcb_growth refine_coverage
-    refine_baseline_opt update_refine_baseline allow_refine_regress baseline_head
-    allow_baseline_growth dur_baseline_opt update_dur_baseline allow_dur_growth
-    wcache_violations =
+let run root_opt ratchet_opt report_opt update_ratchet allow_ratchet_change ratchet_head verbose
+    lockdep_edges lock_graph_dot kmem_events refine_coverage wcache_violations =
   let root =
     match root_opt with
     | Some r -> r
@@ -26,16 +23,7 @@ let run root_opt baseline_opt report_opt update_baseline verbose lockdep_edges l
     Fmt.epr "klint: %s has no lib/ to lint@." root;
     exit 2
   end;
-  let baseline_path = match baseline_opt with Some p -> p | None -> root / "klint.baseline" in
-  let tcb_baseline_path =
-    match tcb_baseline_opt with Some p -> p | None -> root / "tcb.baseline"
-  in
-  let refine_baseline_path =
-    match refine_baseline_opt with Some p -> p | None -> root / "refine.baseline"
-  in
-  let dur_baseline_path =
-    match dur_baseline_opt with Some p -> p | None -> root / "dur.baseline"
-  in
+  let ratchet_path = match ratchet_opt with Some p -> p | None -> root / "ratchet.baseline" in
   let report_path =
     match report_opt with Some p -> p | None -> root / "_build" / "klint-report.json"
   in
@@ -48,70 +36,15 @@ let run root_opt baseline_opt report_opt update_baseline verbose lockdep_edges l
     (fun (file, msg) -> Fmt.epr "klint: parse error in %s:@.%s@." file msg)
     tree.Klint.Engine.parse_errors;
   if tree.Klint.Engine.parse_errors <> [] then exit 2;
-  if update_baseline then begin
-    Klint.Baseline.save baseline_path (Klint.Baseline.of_findings tree.Klint.Engine.findings);
-    Fmt.pr "klint: wrote %d baseline entries to %s@."
-      (List.length (Klint.Baseline.of_findings tree.Klint.Engine.findings))
-      baseline_path
-  end;
-  let baseline =
-    match Klint.Baseline.load baseline_path with
-    | Ok entries -> entries
+  let load_ratchet path =
+    match Klint.Baseline.load path with
+    | Ok t -> t
     | Error msg ->
-        Fmt.epr "klint: bad baseline %s: %s@." baseline_path msg;
+        Fmt.epr "klint: bad ratchet %s: %s@." path msg;
         exit 2
   in
-  (* The baseline growth ratchet ci.sh used to re-derive in awk: compare
-     the line-anchored baseline against its HEAD copy per (rule, file)
-     count, so pure renumbering from unrelated edits in the same file is
-     never growth, one more suppressed finding in a file always is. *)
-  let head_rc =
-    match baseline_head with
-    | None -> 0
-    | Some path -> (
-        match Klint.Baseline.load path with
-        | Error msg ->
-            Fmt.epr "klint: bad head baseline %s: %s@." path msg;
-            2
-        | Ok head -> (
-            let regressions, _ =
-              Klint.Baseline.Counts.compare_counts
-                ~baseline:(Klint.Baseline.counts head)
-                (Klint.Baseline.counts baseline)
-            in
-            match regressions with
-            | [] ->
-                Fmt.pr "klint: baseline did not grow vs %s@." path;
-                0
-            | _ when allow_baseline_growth ->
-                List.iter
-                  (fun (d : Klint.Baseline.Counts.delta) ->
-                    Fmt.pr "klint: baseline growth (allowed) — %s %s: %d > HEAD %d@."
-                      (Klint.Finding.rule_id d.Klint.Baseline.Counts.d_rule)
-                      d.Klint.Baseline.Counts.d_file d.Klint.Baseline.Counts.d_have
-                      d.Klint.Baseline.Counts.d_allowed)
-                  regressions;
-                0
-            | _ ->
-                List.iter
-                  (fun (d : Klint.Baseline.Counts.delta) ->
-                    Fmt.epr
-                      "klint: BASELINE GREW — %s %s: %d suppressed finding(s) > HEAD %d \
-                       (fix the findings, or ALLOW_BASELINE_GROWTH=1 to accept)@."
-                      (Klint.Finding.rule_id d.Klint.Baseline.Counts.d_rule)
-                      d.Klint.Baseline.Counts.d_file d.Klint.Baseline.Counts.d_have
-                      d.Klint.Baseline.Counts.d_allowed)
-                  regressions;
-                1))
-  in
-  (* R15 (unverified-functional-claim) needs the live registry, so it is
-     synthesized here and fed through the same reconciliation as the
-     per-file rules.  It is deliberately not baselineable: the baseline
-     is regenerated from the tree findings alone, so a Verified claim
-     without a harness can never be grandfathered in. *)
-  let r15_findings = Klint.Kverify.r15 ~registry tree.Klint.Engine.kverify in
-  let all_findings = Klint.Finding.sort (tree.Klint.Engine.findings @ r15_findings) in
-  let r = Klint.Engine.reconcile ~registry ~baseline all_findings in
+  let ratchet = load_ratchet ratchet_path in
+  let head = Option.map load_ratchet ratchet_head in
   let refine_rows =
     match refine_coverage with
     | None -> None
@@ -121,6 +54,33 @@ let run root_opt baseline_opt report_opt update_baseline verbose lockdep_edges l
         | Error msg ->
             Fmt.epr "klint: bad refine coverage %s: %s@." path msg;
             exit 2)
+  in
+  let live =
+    {
+      Klint.Baseline.ladder = tree.Klint.Engine.findings;
+      tcb_findings = tree.Klint.Engine.ktcb.Klint.Ktcb.findings;
+      dur_findings = tree.Klint.Engine.kdur.Klint.Kdur.findings;
+      coverage = refine_rows;
+    }
+  in
+  let ratchet =
+    if update_ratchet then begin
+      let t = Klint.Baseline.tighten ~allow:allow_ratchet_change live ratchet in
+      Klint.Baseline.save ratchet_path t;
+      Fmt.pr "klint: wrote %s@." ratchet_path;
+      t
+    end
+    else ratchet
+  in
+  (* R15 (unverified-functional-claim) needs the live registry, so it is
+     synthesized here and fed through the same reconciliation as the
+     per-file rules.  It is deliberately not baselineable: [findings] is
+     written from the tree findings alone, so a Verified claim without a
+     harness can never be grandfathered in. *)
+  let r15_findings = Klint.Kverify.r15 ~registry tree.Klint.Engine.kverify in
+  let all_findings = Klint.Finding.sort (tree.Klint.Engine.findings @ r15_findings) in
+  let r =
+    Klint.Engine.reconcile ~registry ~baseline:ratchet.Klint.Baseline.findings all_findings
   in
   Klint.Report.write ~path:report_path
     (Klint.Report.to_json ~registry ?refine:refine_rows tree r);
@@ -137,9 +97,6 @@ let run root_opt baseline_opt report_opt update_baseline verbose lockdep_edges l
     tree.Klint.Engine.effective_loc (List.length attributed)
     (List.length (List.filter (fun a -> a.Klint.Engine.baselined) attributed))
     (List.length r.Klint.Engine.violations);
-  if r.Klint.Engine.stale_baseline <> [] then
-    Fmt.pr "klint: ratchet progress — %d baseline entries no longer fire; regenerate with --update-baseline@."
-      (List.length r.Klint.Engine.stale_baseline);
   Fmt.pr "klint: report written to %s@." report_path;
   let kracer = tree.Klint.Engine.kracer in
   Fmt.pr "klint: lock graph — %d functions, %d static edges, %d guard classes@."
@@ -272,7 +229,6 @@ let run root_opt baseline_opt report_opt update_baseline verbose lockdep_edges l
                 1))
   in
   let reconcile_rc = max reconcile_rc kmem_rc in
-  let reconcile_rc = max reconcile_rc head_rc in
   (* Same closure for the durability pass: every barrier-discipline
      violation the Wcache audit observed at runtime must correspond to a
      static R16 finding in the file that built the offending cache. *)
@@ -316,101 +272,9 @@ let run root_opt baseline_opt report_opt update_baseline verbose lockdep_edges l
                 1))
   in
   let reconcile_rc = max reconcile_rc wcache_rc in
-  (* The durability count ratchet, dur.baseline: R16-R18 per (rule, file),
-     downward-only, same Counts engine as the TCB ratchet. *)
-  if update_dur_baseline then begin
-    let entries = Klint.Baseline.Counts.of_findings kdur.Klint.Kdur.findings in
-    Klint.Kdur.save_baseline dur_baseline_path entries;
-    Fmt.pr "klint: wrote %d dur baseline entries to %s@." (List.length entries)
-      dur_baseline_path
-  end;
-  let dur_ratchet_rc =
-    match Klint.Kdur.load_baseline dur_baseline_path with
-    | Error msg ->
-        Fmt.epr "klint: bad dur baseline %s: %s@." dur_baseline_path msg;
-        2
-    | Ok baseline -> (
-        let current = Klint.Baseline.Counts.of_findings kdur.Klint.Kdur.findings in
-        let regressions, progress =
-          Klint.Baseline.Counts.compare_counts ~baseline current
-        in
-        if progress <> [] then
-          Fmt.pr
-            "klint: dur ratchet progress — %d (rule, file) counts below baseline; \
-             regenerate with --update-dur-baseline@."
-            (List.length progress);
-        match regressions with
-        | [] -> 0
-        | _ when allow_dur_growth ->
-            List.iter
-              (fun (d : Klint.Baseline.Counts.delta) ->
-                Fmt.pr "klint: dur growth (allowed) — %s %s: %d > baseline %d@."
-                  (Klint.Finding.rule_id d.Klint.Baseline.Counts.d_rule)
-                  d.Klint.Baseline.Counts.d_file d.Klint.Baseline.Counts.d_have
-                  d.Klint.Baseline.Counts.d_allowed)
-              regressions;
-            0
-        | _ ->
-            List.iter
-              (fun (d : Klint.Baseline.Counts.delta) ->
-                Fmt.epr
-                  "klint: DUR REGRESSION — %s %s: %d finding(s) > baseline %d (barrier \
-                   discipline only tightens; ALLOW_DUR_GROWTH=1 to override)@."
-                  (Klint.Finding.rule_id d.Klint.Baseline.Counts.d_rule)
-                  d.Klint.Baseline.Counts.d_file d.Klint.Baseline.Counts.d_have
-                  d.Klint.Baseline.Counts.d_allowed)
-              regressions;
-            1)
-  in
-  let reconcile_rc = max reconcile_rc dur_ratchet_rc in
-  (* The TCB metric and its downward-only count ratchet. *)
   Fmt.pr "klint: tcb — %d/%d unsafe lines (%.1f%%), frame %d files/%d lines, surface %d vals@."
     ktcb.Klint.Ktcb.unsafe_loc ktcb.Klint.Ktcb.total_loc (Klint.Ktcb.ratio ktcb)
     ktcb.Klint.Ktcb.frame_files ktcb.Klint.Ktcb.frame_loc ktcb.Klint.Ktcb.surface_vals;
-  if update_tcb_baseline then begin
-    let entries = Klint.Ktcb.counts_of_findings ktcb.Klint.Ktcb.findings in
-    Klint.Ktcb.save tcb_baseline_path entries;
-    Fmt.pr "klint: wrote %d tcb baseline entries to %s@." (List.length entries)
-      tcb_baseline_path
-  end;
-  let tcb_ratchet_rc =
-    match Klint.Ktcb.load tcb_baseline_path with
-    | Error msg ->
-        Fmt.epr "klint: bad tcb baseline %s: %s@." tcb_baseline_path msg;
-        2
-    | Ok baseline -> (
-        let current = Klint.Ktcb.counts_of_findings ktcb.Klint.Ktcb.findings in
-        let regressions, progress = Klint.Ktcb.compare_counts ~baseline current in
-        if progress <> [] then
-          Fmt.pr
-            "klint: tcb ratchet progress — %d (rule, file) counts below baseline; \
-             regenerate with --update-tcb-baseline@."
-            (List.length progress);
-        match regressions with
-        | [] -> 0
-        | _ when allow_tcb_growth ->
-            List.iter
-              (fun (d : Klint.Ktcb.delta) ->
-                Fmt.pr "klint: tcb growth (allowed) — %s %s: %d > baseline %d@."
-                  (Klint.Finding.rule_id d.Klint.Ktcb.d_rule) d.Klint.Ktcb.d_file
-                  d.Klint.Ktcb.d_have d.Klint.Ktcb.d_allowed)
-              regressions;
-            0
-        | _ ->
-            List.iter
-              (fun (d : Klint.Ktcb.delta) ->
-                Fmt.epr
-                  "klint: TCB REGRESSION — %s %s: %d finding(s) > baseline %d (the unsafe \
-                   TCB only shrinks; ALLOW_TCB_GROWTH=1 to override)@."
-                  (Klint.Finding.rule_id d.Klint.Ktcb.d_rule) d.Klint.Ktcb.d_file
-                  d.Klint.Ktcb.d_have d.Klint.Ktcb.d_allowed)
-              regressions;
-            1)
-  in
-  let reconcile_rc = max reconcile_rc tcb_ratchet_rc in
-  (* The refinement-coverage ratchet: harnesses registered statically,
-     and — when [safeos refine] handed us its coverage file — the
-     enumerator's aggregate numbers, which may only grow. *)
   let kv = tree.Klint.Engine.kverify in
   Fmt.pr "klint: kverify — %d harness registrations covering %d subsystems%s@."
     (List.length kv.Klint.Kverify.registrations)
@@ -421,60 +285,30 @@ let run root_opt baseline_opt report_opt update_baseline verbose lockdep_edges l
              kv.Klint.Kverify.registrations)))
     (if r15_findings = [] then ""
      else Fmt.str "; %d Verified claim(s) UNCHECKED" (List.length r15_findings));
-  let refine_rc =
-    match refine_rows with
-    | None -> 0
-    | Some rows -> (
-        let diverged =
-          List.filter (fun r -> r.Klint.Kverify.cov_divergences > 0) rows
-        in
-        List.iter
-          (fun (row : Klint.Kverify.coverage_row) ->
-            Fmt.epr "klint: REFINEMENT DIVERGENCE — harness %s reported %d divergence(s) \
-                     (deepest at step %d)@."
-              row.Klint.Kverify.cov_harness row.Klint.Kverify.cov_divergences
-              row.Klint.Kverify.cov_deepest)
-          diverged;
-        let current = Klint.Kverify.floor_of_rows rows in
-        if update_refine_baseline then begin
-          Klint.Kverify.save_floor refine_baseline_path current;
-          Fmt.pr "klint: wrote refine baseline to %s@." refine_baseline_path
-        end;
-        match Klint.Kverify.load_floor refine_baseline_path with
-        | Error msg ->
-            Fmt.epr "klint: bad refine baseline %s: %s@." refine_baseline_path msg;
-            2
-        | Ok floor -> (
-            let regressions, progress = Klint.Kverify.compare_floor ~baseline:floor current in
-            if progress <> [] then
-              Fmt.pr
-                "klint: refine ratchet progress — %s above baseline; regenerate with \
-                 --update-refine-baseline@."
-                (String.concat ", "
-                   (List.map (fun (m, have, want) -> Fmt.str "%s %d>%d" m have want) progress));
-            let regress_rc =
-              match regressions with
-              | [] -> 0
-              | _ when allow_refine_regress ->
-                  List.iter
-                    (fun (m, have, want) ->
-                      Fmt.pr "klint: refine coverage regression (allowed) — %s: %d < baseline %d@."
-                        m have want)
-                    regressions;
-                  0
-              | _ ->
-                  List.iter
-                    (fun (m, have, want) ->
-                      Fmt.epr
-                        "klint: REFINE REGRESSION — %s: %d < baseline %d (refinement coverage \
-                         only grows; ALLOW_REFINE_REGRESS=1 to override)@."
-                        m have want)
-                    regressions;
-                  1
-            in
-            max regress_rc (if diverged = [] then 0 else 1)))
-  in
-  let reconcile_rc = max reconcile_rc refine_rc in
+  (* One ratchet, every section: the live tree against the file, and
+     the file against its head copy when CI hands one over. *)
+  let verdict = Klint.Baseline.check ?head ~allow:allow_ratchet_change live ratchet in
+  List.iter
+    (Fmt.pr "klint: ratchet progress — %a; tighten with --update-ratchet@."
+       Klint.Baseline.pp_delta)
+    verdict.Klint.Baseline.progress;
+  List.iter
+    (Fmt.pr "klint: ratchet change (allowed) — %a@." Klint.Baseline.pp_delta)
+    verdict.Klint.Baseline.allowed;
+  List.iter
+    (fun (d : Klint.Baseline.delta) ->
+      if d.Klint.Baseline.against = Klint.Baseline.Spec then
+        Fmt.epr "klint: REFINEMENT DIVERGENCE — %a@." Klint.Baseline.pp_delta d
+      else
+        Fmt.epr
+          "klint: RATCHET REGRESSION — %a (the ratchet only tightens; \
+           ALLOW_RATCHET_CHANGE=1 to accept)@."
+          Klint.Baseline.pp_delta d)
+    verdict.Klint.Baseline.rejected;
+  if verdict.Klint.Baseline.rejected = [] && verdict.Klint.Baseline.allowed = [] then
+    Fmt.pr "klint: ratchet held against %s%s@." ratchet_path
+      (match ratchet_head with Some p -> " and head " ^ p | None -> "");
+  let reconcile_rc = max reconcile_rc (if verdict.Klint.Baseline.rejected = [] then 0 else 1) in
   if r.Klint.Engine.violations = [] then reconcile_rc
   else begin
     List.iter
@@ -492,17 +326,30 @@ let root =
   Arg.(value & opt (some string) None & info [ "root" ] ~docv:"DIR"
          ~doc:"Tree root (default: nearest dune-project above the cwd)")
 
-let baseline =
-  Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE"
-         ~doc:"Baseline file (default: ROOT/klint.baseline)")
+let ratchet =
+  Arg.(value & opt (some string) None & info [ "ratchet" ] ~docv:"FILE"
+         ~doc:"Ratchet file (default: ROOT/ratchet.baseline)")
 
 let report =
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE"
          ~doc:"JSON report path (default: ROOT/_build/klint-report.json)")
 
-let update_baseline =
-  Arg.(value & flag & info [ "update-baseline" ]
-         ~doc:"Rewrite the baseline from the current findings, then lint against it")
+let update_ratchet =
+  Arg.(value & flag & info [ "update-ratchet" ]
+         ~doc:"Tighten the ratchet file to the current tree (drop stale findings, lower \
+               counts, raise floors to the --refine-coverage figures), then lint against \
+               it")
+
+let allow_ratchet_change =
+  Arg.(value & flag & info [ "allow-ratchet-change" ]
+         ~doc:"Report ratchet regressions without failing, and let --update-ratchet write \
+               the current tree exactly, growth included (the ALLOW_RATCHET_CHANGE=1 CI \
+               escape)")
+
+let ratchet_head =
+  Arg.(value & opt (some string) None & info [ "ratchet-head" ] ~docv:"FILE"
+         ~doc:"Also fail when the ratchet file is looser than this committed copy: a \
+               findings or count entry above it, or a floor below it")
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every finding")
 
@@ -522,63 +369,11 @@ let kmem_events =
                exported by Ksim.Kmem (KSIM_KMEM_EXPORT); exit 1 if any runtime event \
                hit a linted file kown did not flag")
 
-let tcb_baseline =
-  Arg.(value & opt (some string) None & info [ "tcb-baseline" ] ~docv:"FILE"
-         ~doc:"TCB count-ratchet file (default: ROOT/tcb.baseline)")
-
-let update_tcb_baseline =
-  Arg.(value & flag & info [ "update-tcb-baseline" ]
-         ~doc:"Rewrite the tcb baseline from the current R12-R14 counts, then ratchet \
-               against it")
-
-let allow_tcb_growth =
-  Arg.(value & flag & info [ "allow-tcb-growth" ]
-         ~doc:"Report TCB count regressions without failing (the ALLOW_TCB_GROWTH=1 CI \
-               escape)")
-
 let refine_coverage =
   Arg.(value & opt (some string) None & info [ "refine-coverage" ] ~docv:"FILE"
          ~doc:"Ratchet the krefine coverage file written by 'safeos refine --coverage-out' \
-               against the refine baseline, and embed it in the JSON report; exit 1 on \
+               against the ratchet's floors, and embed it in the JSON report; exit 1 on \
                reported divergences or coverage regressions")
-
-let refine_baseline =
-  Arg.(value & opt (some string) None & info [ "refine-baseline" ] ~docv:"FILE"
-         ~doc:"Refinement-coverage ratchet file (default: ROOT/refine.baseline)")
-
-let update_refine_baseline =
-  Arg.(value & flag & info [ "update-refine-baseline" ]
-         ~doc:"Rewrite the refine baseline from the supplied coverage, then ratchet \
-               against it")
-
-let allow_refine_regress =
-  Arg.(value & flag & info [ "allow-refine-regress" ]
-         ~doc:"Report refinement-coverage regressions without failing (the \
-               ALLOW_REFINE_REGRESS=1 CI escape)")
-
-let baseline_head =
-  Arg.(value & opt (some string) None & info [ "baseline-head" ] ~docv:"FILE"
-         ~doc:"Compare the line-anchored baseline against this HEAD copy per (rule, file) \
-               count and fail on growth (the check ci.sh used to re-derive in awk)")
-
-let allow_baseline_growth =
-  Arg.(value & flag & info [ "allow-baseline-growth" ]
-         ~doc:"Report baseline growth vs --baseline-head without failing (the \
-               ALLOW_BASELINE_GROWTH=1 CI escape)")
-
-let dur_baseline =
-  Arg.(value & opt (some string) None & info [ "dur-baseline" ] ~docv:"FILE"
-         ~doc:"Durability count-ratchet file (default: ROOT/dur.baseline)")
-
-let update_dur_baseline =
-  Arg.(value & flag & info [ "update-dur-baseline" ]
-         ~doc:"Rewrite the dur baseline from the current R16-R18 counts, then ratchet \
-               against it")
-
-let allow_dur_growth =
-  Arg.(value & flag & info [ "allow-dur-growth" ]
-         ~doc:"Report durability count regressions without failing (the ALLOW_DUR_GROWTH=1 \
-               CI escape)")
 
 let wcache_violations =
   Arg.(value & opt (some string) None & info [ "wcache-violations" ] ~docv:"FILE"
@@ -590,10 +385,8 @@ let cmd =
   Cmd.v
     (Cmd.info "klint" ~version:"1.0.0"
        ~doc:"Static safety-ladder linter: enforce Registry level claims against the source tree")
-    Term.(const run $ root $ baseline $ report $ update_baseline $ verbose $ lockdep_edges
-          $ lock_graph_dot $ kmem_events $ tcb_baseline $ update_tcb_baseline
-          $ allow_tcb_growth $ refine_coverage $ refine_baseline $ update_refine_baseline
-          $ allow_refine_regress $ baseline_head $ allow_baseline_growth $ dur_baseline
-          $ update_dur_baseline $ allow_dur_growth $ wcache_violations)
+    Term.(const run $ root $ ratchet $ report $ update_ratchet $ allow_ratchet_change
+          $ ratchet_head $ verbose $ lockdep_edges $ lock_graph_dot $ kmem_events
+          $ refine_coverage $ wcache_violations)
 
 let () = exit (Cmd.eval' cmd)

@@ -5,7 +5,7 @@
 
    Like [Memfs_unsafe] for the memory-safety rungs, this module exists
    to be convicted: each function below is a minimal specimen of one
-   kdur rule, grandfathered in dur.baseline, and [append_chained] is
+   kdur rule, grandfathered in ratchet.baseline, and [append_chained] is
    also the runtime counterpart — driven over a {!Kblock.Wcache} named
    ["rawlog_unsafe"] it provokes the audit's read-back-then-dependent-
    write violation, which the KSIM_WCACHE_EXPORT reconciliation then

@@ -2,7 +2,7 @@
     {!Kblock.Io.t} that never flushes.  Deliberately broken — each entry
     point is a minimal specimen of one kdur rule (R16 unordered
     dependent write, R17 ack-before-durable, R18 barrier elision at a
-    wrapper boundary), grandfathered in dur.baseline, and
+    wrapper boundary), grandfathered in ratchet.baseline, and
     [append_chained] doubles as the runtime driver that provokes the
     {!Kblock.Wcache} audit for the static/runtime reconciliation.  See
     the implementation for the specimen-by-specimen commentary.  Do not

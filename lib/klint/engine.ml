@@ -65,8 +65,8 @@ type tree_result = {
   kown : Kown.result; (* the ownership pass: R8-R11 + summaries *)
   ktcb : Ktcb.result;
       (* the frame-confinement pass: R12-R14 + the TCB metric.  Kept out
-         of [findings] — its ratchet is the tcb.baseline count file, not
-         the line-anchored ladder baseline. *)
+         of [findings] — its ratchet is the [tcb] count section, not the
+         line-anchored [findings]. *)
   kverify : Kverify.result;
       (* the "verified means checked" pass: statically visible krefine
          harness registrations.  R15 itself needs the live registry, so
@@ -74,10 +74,10 @@ type tree_result = {
          findings through the same reconciliation. *)
   kdur : Kdur.result;
       (* the barrier-discipline pass: R16-R18 + durability transfers.
-         Kept out of [findings] like ktcb's — its ratchet is the
-         dur.baseline count file, not the line-anchored ladder baseline
-         (the journal's ?barriers:false ablation is a deliberate,
-         statically reachable missing-flush path). *)
+         Kept out of [findings] like ktcb's — its ratchet is the [dur]
+         count section, not the line-anchored [findings] (the journal's
+         ?barriers:false ablation is a deliberate, statically reachable
+         missing-flush path). *)
 }
 
 (* One whole-tree model: the files are parsed once, the call graph is

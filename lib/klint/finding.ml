@@ -88,7 +88,7 @@ let bug_class = function
   | R11_borrow_escape -> Safeos_core.Level.Use_after_free
   (* TCB confinement is a design property: no ladder rung structurally
      prevents it, so R12-R14 never become level violations — their
-     ratchet is the tcb.baseline count, not the claim reconciliation. *)
+     ratchet is the [tcb] count, not the claim reconciliation. *)
   | R12_unsafe_primitive -> Safeos_core.Level.Design
   | R13_frame_bypass -> Safeos_core.Level.Design
   | R14_unsound_export -> Safeos_core.Level.Design
@@ -96,7 +96,7 @@ let bug_class = function
      registered krefine harness is a correctness-evidence hole, so the
      finding becomes a violation exactly at the Verified rung. *)
   | R15_unverified_claim -> Safeos_core.Level.Semantic
-  (* Durability discipline ratchets by count (dur.baseline), not by the
+  (* Durability discipline ratchets by count ([dur]), not by the
      claim reconciliation: the journal's own ?barriers:false ablation is
      a statically reachable missing-flush path inside Verified-claiming
      subsystems, so folding R16-R18 into the ladder would convict the

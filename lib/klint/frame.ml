@@ -16,7 +16,7 @@ let frame_dirs = [ "lib/ksim" ]
 let in_frame rel = List.exists (fun d -> Subsystem.under d rel) frame_dirs
 
 (* Intentionally-unsafe specimens: the step-0 exhibits, the bug corpus,
-   and the CVE dataset.  Their R12/R13 findings are the tcb.baseline;
+   and the CVE dataset.  Their R12/R13 findings are the [tcb] ratchet;
    calling *into* an exhibit through its interface is not laundering
    (the boundary is declared, and the registry already prices the
    exhibit's own claim), so taint does not propagate out of them. *)

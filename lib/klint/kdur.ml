@@ -19,8 +19,8 @@
    failed to see) and fails CI, exactly like kracer's lock-graph and
    kown's kmem-event reconciliations.
 
-   R16–R18 ratchet by per-(rule, file) count (dur.baseline, shared
-   {!Baseline.Counts} engine), not by the ladder reconciliation: the
+   R16–R18 ratchet by per-(rule, file) count (the [dur] section of
+   ratchet.baseline), not by the ladder reconciliation: the
    journal's own [?barriers:false] ablation is a statically reachable
    missing-flush path inside Verified-claiming subsystems, and the
    ratchet must tolerate the declared mutant while forbidding new ones. *)
@@ -97,18 +97,6 @@ let analyze ?cg ~root files =
 let analyze_tree ~root =
   let files, _errors = Kparse.parse_files ~root (Loc.ml_files_under ~root "lib") in
   analyze ~root files
-
-(* The count ratchet --------------------------------------------------------- *)
-
-let baseline_header =
-  "# dur baseline — grandfathered durability findings (R16-R18), counted per\n\
-   # (rule, file).  The declared exhibits live here: the journal's\n\
-   # ?barriers:false ablation paths and lib/kfs/rawlog_unsafe.ml.  Shrink by\n\
-   # fixing barrier paths; regenerate (after genuine fixes only) with:\n\
-   #   dune exec bin/klint/main.exe -- --update-dur-baseline\n"
-
-let load_baseline path = Baseline.Counts.load ~what:"dur" path
-let save_baseline path entries = Baseline.Counts.save ~header:baseline_header path entries
 
 (* Runtime reconciliation --------------------------------------------------- *)
 

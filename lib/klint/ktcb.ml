@@ -21,7 +21,7 @@
    The second output is the TCB metric: per-subsystem unsafe LOC (full
    file size inside the frame, distinct R12/R13 lines outside it) over
    total LOC, plus the frame-surface val count — the numbers the
-   [tcb.baseline] count-ratchet and the report's [tcb] object carry.
+   [tcb] section of ratchet.baseline and the report's [tcb] object carry.
    Like kown, the pass is reconciled against runtime ground truth:
    [unsound_kmem_events] fails CI when raw heap traffic originates from
    a module the metric classifies as frame-free. *)
@@ -361,41 +361,6 @@ let analyze_tree ~root =
   let cg = Callgraph.build ~root files in
   let kown = Kown.analyze ~cg ~root files in
   analyze ~cg ~root files ~summaries:kown.Kown.summaries
-
-(* The tcb.baseline count-ratchet ------------------------------------------ *)
-
-(* The parse/compare/update engine lives in {!Baseline.Counts} (shared
-   with kdur's dur.baseline); this is the tcb-flavoured instantiation,
-   kept under the historical names so call sites read the same. *)
-
-type baseline_entry = Baseline.Counts.entry = {
-  b_rule : Finding.rule;
-  b_file : string;
-  b_count : int;
-}
-
-let compare_entry = Baseline.Counts.compare_entry
-let counts_of_findings = Baseline.Counts.of_findings
-let entry_to_line = Baseline.Counts.entry_to_line
-
-let header =
-  "# tcb baseline — grandfathered R12-R14 counts per (rule, file), the\n\
-   # downward-only TCB ratchet.  Regenerate (after genuine shrinkage only) with:\n\
-   #   dune exec bin/klint/main.exe -- --update-tcb-baseline\n"
-
-let to_string entries = Baseline.Counts.to_string ~header entries
-let of_string s = Baseline.Counts.of_string ~what:"tcb" s
-let load path = Baseline.Counts.load ~what:"tcb" path
-let save path entries = Baseline.Counts.save ~header path entries
-
-type delta = Baseline.Counts.delta = {
-  d_rule : Finding.rule;
-  d_file : string;
-  d_have : int;
-  d_allowed : int;
-}
-
-let compare_counts = Baseline.Counts.compare_counts
 
 (* Runtime reconciliation --------------------------------------------------- *)
 

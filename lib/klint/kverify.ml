@@ -14,8 +14,7 @@
 
    The same module owns the krefine coverage exchange format — the rows
    [safeos refine --coverage-out] writes and [klint --refine-coverage]
-   ratchets (grow-only, like the tcb count ratchet but in the other
-   direction: coverage may only grow). *)
+   judges against the [refine-floors] of ratchet.baseline. *)
 
 open Parsetree
 
@@ -190,81 +189,3 @@ let load_coverage path =
                 | Error e -> Error (Fmt.str "line %d: %s" lineno e))
           in
           go [] 1)
-
-(* The coverage ratchet -------------------------------------------------- *)
-
-(* Aggregate floor the tree must stay above: refinement coverage, like
-   the safety ladder itself, only moves forward. *)
-type floor = {
-  min_harnesses : int;
-  min_ops : int;
-  min_states : int;
-  min_crash_images : int;
-}
-
-let floor_of_rows rows =
-  {
-    min_harnesses = List.length rows;
-    min_ops = List.fold_left (fun a r -> a + r.cov_ops) 0 rows;
-    min_states = List.fold_left (fun a r -> a + r.cov_states) 0 rows;
-    min_crash_images = List.fold_left (fun a r -> a + r.cov_crash_images) 0 rows;
-  }
-
-let floor_to_string f =
-  Fmt.str
-    "# krefine coverage ratchet: minimums the refine stage must reach; grow-only\n\
-     harnesses %d\nops %d\nstates %d\ncrash_images %d\n"
-    f.min_harnesses f.min_ops f.min_states f.min_crash_images
-
-let floor_of_string s =
-  let kvs =
-    String.split_on_char '\n' s
-    |> List.filter_map (fun line ->
-           let line = String.trim line in
-           if line = "" || line.[0] = '#' then None
-           else
-             match String.split_on_char ' ' line with
-             | [ k; v ] -> Some (k, int_of_string_opt v)
-             | _ -> Some (line, None))
-  in
-  let get k =
-    match List.assoc_opt k kvs with
-    | Some (Some n) -> Ok n
-    | Some None -> Error (Fmt.str "bad value for %s" k)
-    | None -> Error ("missing " ^ k)
-  in
-  let ( let* ) = Result.bind in
-  let* min_harnesses = get "harnesses" in
-  let* min_ops = get "ops" in
-  let* min_states = get "states" in
-  let* min_crash_images = get "crash_images" in
-  Ok { min_harnesses; min_ops; min_states; min_crash_images }
-
-let load_floor path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> floor_of_string (really_input_string ic (in_channel_length ic)))
-
-let save_floor path f =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (floor_to_string f))
-
-(* (metric, have, floor) for every dimension below the baseline;
-   [progress] lists dimensions strictly above it (regenerate to lock the
-   gain in). *)
-let compare_floor ~baseline current =
-  let dims =
-    [
-      ("harnesses", current.min_harnesses, baseline.min_harnesses);
-      ("ops", current.min_ops, baseline.min_ops);
-      ("states", current.min_states, baseline.min_states);
-      ("crash_images", current.min_crash_images, baseline.min_crash_images);
-    ]
-  in
-  ( List.filter (fun (_, have, want) -> have < want) dims,
-    List.filter (fun (_, have, want) -> have > want) dims )

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Tier-1 gate: build, static lint with its ratchet, full test suite with
-# runtime lock-order capture, a seeded fault-injection torture smoke
-# run, and finally the static/runtime lock-graph reconciliation. The
+# Tier-1 gate: build, full test suite with runtime lock-order, heap and
+# barrier-violation capture, a seeded fault-injection torture smoke run,
+# the refine smoke, and finally one klint run: the static lint, every
+# section of the ratchet, and the static/runtime reconciliations. The
 # torture suite drives the journalfs stack through Flakydev faults under
 # fixed seeds and checks that every crash/recovery lands in a
 # spec-allowed state — it must stay green before any merge.
@@ -10,56 +11,6 @@ cd "$(dirname "$0")/.."
 
 echo "== ci: dune build =="
 dune build
-
-echo "== ci: klint (static safety-ladder lint) =="
-dune build @lint
-
-echo "== ci: klint baseline ratchet =="
-# The baseline may only shrink: a commit adding entries (new suppressed
-# findings) fails here.  Deliberate growth (e.g. a new checked exhibit)
-# must be acknowledged with ALLOW_BASELINE_GROWTH=1.
-# The comparison itself (per (rule, file) count, so pure renumbering
-# from unrelated edits in the same file is never growth) lives in
-# klint's shared Baseline.Counts engine — the same code the tcb and dur
-# ratchets run — via --baseline-head; this stage only digs the HEAD
-# copy out of git.
-mkdir -p _build
-if git rev-parse --verify -q HEAD >/dev/null 2>&1 \
-   && git cat-file -e HEAD:klint.baseline 2>/dev/null; then
-  git show HEAD:klint.baseline > _build/baseline-head.txt
-  if [ "${ALLOW_BASELINE_GROWTH:-0}" = "1" ]; then
-    dune exec bin/klint/main.exe -- --root . --baseline-head _build/baseline-head.txt \
-      --allow-baseline-growth
-  else
-    dune exec bin/klint/main.exe -- --root . --baseline-head _build/baseline-head.txt
-  fi
-else
-  echo "ci: no HEAD baseline to ratchet against (first commit?); skipping"
-fi
-
-echo "== ci: tcb ratchet (unsafe-TCB counts may only shrink) =="
-# The framekernel ratchet: R12-R14 counts per (rule, file) are compared
-# against tcb.baseline inside klint itself — count-based, so renumbering
-# from unrelated edits is never growth.  A genuine new exhibit must be
-# acknowledged with ALLOW_TCB_GROWTH=1 (and then --update-tcb-baseline).
-if [ "${ALLOW_TCB_GROWTH:-0}" = "1" ]; then
-  dune exec bin/klint/main.exe -- --root . --tcb-baseline tcb.baseline --allow-tcb-growth
-else
-  dune exec bin/klint/main.exe -- --root . --tcb-baseline tcb.baseline
-fi
-
-echo "== ci: dur ratchet (R16-R18 durability counts may only shrink) =="
-# The barrier-discipline ratchet: kdur's R16-R18 counts per (rule, file)
-# are compared against dur.baseline inside klint (the same Counts engine
-# as the tcb ratchet).  The grandfathered entries are the declared
-# exhibits — the journal's ?barriers:false ablation paths and
-# lib/kfs/rawlog_unsafe.ml; a genuine new exhibit must be acknowledged
-# with ALLOW_DUR_GROWTH=1 (and then --update-dur-baseline).
-if [ "${ALLOW_DUR_GROWTH:-0}" = "1" ]; then
-  dune exec bin/klint/main.exe -- --root . --dur-baseline dur.baseline --allow-dur-growth
-else
-  dune exec bin/klint/main.exe -- --root . --dur-baseline dur.baseline
-fi
 
 # Every test binary from here on appends the lock-order edges it
 # observed to this file; kracer checks them against its static graph at
@@ -115,17 +66,15 @@ echo "== ci: kload extra seeds =="
 # alcotest kload suite runs (same hook style as KSIM_TORTURE_SEEDS).
 KSIM_KLOAD_SEEDS="${KSIM_KLOAD_SEEDS:-7,101}" dune exec test/test_kload.exe -- test harness 3
 
-echo "== ci: refine smoke (krefine harnesses vs Fs_spec, coverage ratchet) =="
+echo "== ci: refine smoke (krefine harnesses vs Fs_spec) =="
 # Every registered kharness machine (journalfs, cowfs, the supervised
 # microreboot path) replays a kload-recorded trace in lockstep with
 # Fs_spec, enumerating crash images at every op (safeos refine's default
-# cadence).  Any divergence fails
-# the run; the coverage the pass produced is then ratcheted against
-# refine.baseline inside klint (R15 keeps "Verified" registry claims
-# honest even when this stage is skipped).  KSIM_REFINE_SEEDS widens the
-# seed set, same hook style as KSIM_TORTURE_SEEDS; a deliberate coverage
-# reduction must be acknowledged with ALLOW_REFINE_REGRESS=1 (and then
-# --update-refine-baseline).
+# cadence).  Any divergence fails the run; the coverage the pass
+# produced is judged against the ratchet's [refine-floors] in the klint
+# stage below (R15 keeps "Verified" registry claims honest even when
+# this stage is skipped).  KSIM_REFINE_SEEDS widens the seed set, same
+# hook style as KSIM_TORTURE_SEEDS.
 REFINE_COVERAGE="$(pwd)/_build/refine-coverage.txt"
 rm -f "$REFINE_COVERAGE"
 refine_seed="${KSIM_REFINE_SEEDS:-11}"
@@ -134,41 +83,46 @@ dune exec bin/safeos.exe -- refine --all --seed "$refine_seed" --ops 10000 \
   --crash-every 1 --images 4 --coverage-out "$REFINE_COVERAGE" > /dev/null \
   || { echo "ci: FAIL — a krefine harness diverged from Fs_spec" >&2; exit 1; }
 KSIM_REFINE_SEEDS="${KSIM_REFINE_SEEDS:-11}" dune exec test/test_krefine.exe -- test harnesses
-if [ "${ALLOW_REFINE_REGRESS:-0}" = "1" ]; then
-  dune exec bin/klint/main.exe -- --root . --refine-coverage "$REFINE_COVERAGE" \
-    --refine-baseline refine.baseline --allow-refine-regress
-else
-  dune exec bin/klint/main.exe -- --root . --refine-coverage "$REFINE_COVERAGE" \
-    --refine-baseline refine.baseline
-fi
 
-echo "== ci: lock-graph reconciliation (static vs runtime) =="
-if [ -s "$LOCKDEP_EDGES" ]; then
-  dune exec bin/klint/main.exe -- --root . --lockdep-edges "$LOCKDEP_EDGES"
-else
+echo "== ci: klint (lint, ratchet, static/runtime reconciliations) =="
+# An empty export means the capture hook is broken: vacuous soundness is
+# a fail.  The rawlog_unsafe fixture in test_wcache guarantees at least
+# one named-cache barrier violation.
+if [ ! -s "$LOCKDEP_EDGES" ]; then
   echo "ci: FAIL — no runtime lock edges were exported; the capture is broken" >&2
   exit 1
 fi
-
-echo "== ci: kmem reconciliation (static vs runtime heap events) =="
-if [ -s "$KMEM_EVENTS" ]; then
-  dune exec bin/klint/main.exe -- --root . --kmem-events "$KMEM_EVENTS"
-else
+if [ ! -s "$KMEM_EVENTS" ]; then
   echo "ci: FAIL — no runtime kmem events were exported; the capture is broken" >&2
   exit 1
 fi
-
-echo "== ci: wcache reconciliation (static vs runtime barrier violations) =="
-# The durability closure: the rawlog_unsafe reconciliation fixture in
-# test_wcache guarantees at least one named-cache violation lands here,
-# so an empty file means the export hook (or the fixture) is broken —
-# vacuous soundness is a fail, exactly like the lockdep/kmem stages.
-if [ -s "$WCACHE_VIOLATIONS" ]; then
-  dune exec bin/klint/main.exe -- --root . --wcache-violations "$WCACHE_VIOLATIONS"
-else
+if [ ! -s "$WCACHE_VIOLATIONS" ]; then
   echo "ci: FAIL — no runtime wcache violations were exported; the capture is broken" >&2
   exit 1
 fi
+set -- --root . --refine-coverage "$REFINE_COVERAGE" --lockdep-edges "$LOCKDEP_EDGES" \
+  --kmem-events "$KMEM_EVENTS" --wcache-violations "$WCACHE_VIOLATIONS"
+# The head copy ratchet.baseline is judged against: HEAD's when the
+# working file differs from it (an uncommitted change), else HEAD~1's
+# (the change the checked-out commit made).
+RATCHET_HEAD="$(pwd)/_build/ratchet-head.txt"
+if git cat-file -e HEAD:ratchet.baseline 2>/dev/null \
+   && ! git show HEAD:ratchet.baseline | cmp -s - ratchet.baseline; then
+  git show HEAD:ratchet.baseline > "$RATCHET_HEAD"
+  set -- "$@" --ratchet-head "$RATCHET_HEAD"
+elif git cat-file -e HEAD~1:ratchet.baseline 2>/dev/null; then
+  git show HEAD~1:ratchet.baseline > "$RATCHET_HEAD"
+  set -- "$@" --ratchet-head "$RATCHET_HEAD"
+else
+  echo "ci: no committed ratchet.baseline to compare against; skipping the head check"
+fi
+# A deliberate loosening (a new exhibit, a dropped harness) must be
+# acknowledged with ALLOW_RATCHET_CHANGE=1, then written with
+# --update-ratchet --allow-ratchet-change.
+if [ "${ALLOW_RATCHET_CHANGE:-0}" = "1" ]; then
+  set -- "$@" --allow-ratchet-change
+fi
+dune exec bin/klint/main.exe -- "$@"
 
 echo "== ci: bench result validation =="
 # Every persisted BENCH_*.json must parse and carry the claim schema

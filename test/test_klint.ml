@@ -13,6 +13,7 @@ module Level = Safeos_core.Level
 module F = Klint.Finding
 module E = Klint.Engine
 module B = Klint.Baseline
+module KV = Klint.Kverify
 
 (* Fixture plumbing ----------------------------------------------------- *)
 
@@ -591,6 +592,28 @@ let test_parse_error_reported () =
 
 (* Baseline -------------------------------------------------------------- *)
 
+let finding rule file line =
+  { F.rule; file; line; col = 0; func = ""; message = "" }
+
+let count rule file n = { B.Counts.b_rule = rule; b_file = file; b_count = n }
+
+let floors h o st c = [ ("harnesses", h); ("ops", o); ("states", st); ("crash_images", c) ]
+
+let live ?coverage ?(ladder = []) ?(tcb = []) ?(dur = []) () =
+  { B.ladder; tcb_findings = tcb; dur_findings = dur; coverage }
+
+(* A ratchet file with every section present; each argument is the body
+   of its section. *)
+let ratchet_text ?(findings = "") ?(tcb = "") ?(dur = "")
+    ?(floors = "harnesses 0\nops 0\nstates 0\ncrash_images 0\n") () =
+  Fmt.str "[findings]\n%s[tcb]\n%s[dur]\n%s[refine-floors]\n%s" findings tcb dur floors
+
+(* (key, have, bound) of the judgements in one section *)
+let keys section ds =
+  List.filter_map (fun d -> if d.B.section = section then Some (d.B.key, d.B.have, d.B.bound) else None) ds
+
+let triple = Alcotest.(list (triple string int int))
+
 let test_baseline_roundtrip () =
   let findings =
     lint_snippet
@@ -600,17 +623,223 @@ let test_baseline_roundtrip () =
   in
   check ids "three rules fire" [ "R1"; "R4"; "R5" ] (rule_ids findings);
   let base = B.of_findings findings in
-  (match B.of_string (B.to_string base) with
-  | Ok base' -> check Alcotest.bool "to_string/of_string round-trip" true (base = base')
+  let ratchet =
+    {
+      B.findings = base;
+      (* pre-sorted (file, then rule): load returns sorted entries *)
+      tcb =
+        [ count F.R12_unsafe_primitive "lib/kfs/memfs_unsafe.ml" 2;
+          count F.R13_frame_bypass "lib/knet/amp.ml" 1 ];
+      dur =
+        [ count F.R17_ack_before_durable "lib/kblock/journal.ml" 2;
+          count F.R16_unordered_write "lib/kfs/rawlog_unsafe.ml" 2 ];
+      floors = floors 2 1800 1814 900;
+    }
+  in
+  (match B.of_string (B.to_string ratchet) with
+  | Ok r' -> check Alcotest.bool "to_string/of_string round-trip" true (ratchet = r')
   | Error msg -> Alcotest.fail msg);
+  let path = Filename.temp_file "ratchet" ".baseline" in
+  B.save path ratchet;
+  (match B.load path with
+  | Ok loaded -> check Alcotest.bool "save/load round-trip" true (loaded = ratchet)
+  | Error msg -> Alcotest.fail msg);
+  Sys.remove path;
   (* stable ordering: shuffled input renders identically *)
-  check Alcotest.string "order independent of input order" (B.to_string base)
-    (B.to_string (B.of_findings (List.rev findings)));
+  check Alcotest.string "order independent of input order" (B.to_string ratchet)
+    (B.to_string { ratchet with B.findings = B.of_findings (List.rev findings) });
   List.iter (fun f -> check Alcotest.bool "mem" true (B.mem base f)) findings;
   check Alcotest.int "nothing stale" 0 (List.length (B.stale base findings));
   (* fix one finding: its entry is reported as ratchet progress *)
   let fixed = List.filter (fun f -> f.F.rule <> F.R1_unchecked_cast) findings in
   check Alcotest.int "fixed entry is stale" 1 (List.length (B.stale base fixed))
+
+(* The [tcb] section of ratchet.baseline: per-(rule, file) counts of
+   R12-R14 findings, judged by the one [check]. *)
+let test_ktcb_baseline_ratchet () =
+  let ratchet =
+    {
+      B.findings = [];
+      tcb =
+        [ count F.R12_unsafe_primitive "lib/kfs/memfs_unsafe.ml" 2;
+          count F.R13_frame_bypass "lib/knet/amp.ml" 1 ];
+      dur = [];
+      floors = floors 0 0 0 0;
+    }
+  in
+  (match B.of_string (B.to_string ratchet) with
+  | Ok r' -> check Alcotest.bool "to_string/of_string round-trip" true (ratchet = r')
+  | Error msg -> Alcotest.fail msg);
+  (match B.of_string (ratchet_text ~tcb:"R99 lib/foo.ml 1\n" ()) with
+  | Ok _ -> Alcotest.fail "unknown rule id parsed?"
+  | Error msg -> check Alcotest.string "names section and line" "line 3 [tcb]: unknown rule id \"R99\"" msg);
+  (* counts, not lines: one more finding in a priced file is a
+     regression, a vanished entry is ratchet progress *)
+  let v =
+    B.check ~allow:false
+      (live ~tcb:(List.init 3 (fun i -> finding F.R12_unsafe_primitive "lib/kfs/memfs_unsafe.ml" i)) ())
+      ratchet
+  in
+  check triple "tcb regression: live count over grandfathered count"
+    [ ("R12 lib/kfs/memfs_unsafe.ml", 3, 2) ] (keys B.Tcb v.B.rejected);
+  check triple "tcb: the vanished entry is progress"
+    [ ("R13 lib/knet/amp.ml", 0, 1) ] (keys B.Tcb v.B.progress);
+  check Alcotest.int "only the tcb section regresses" 1 (List.length v.B.rejected);
+  (* identical counts are neither growth nor progress *)
+  let self =
+    B.check ~allow:false
+      (live
+         ~tcb:
+           (finding F.R13_frame_bypass "lib/knet/amp.ml" 1
+           :: List.init 2 (fun i -> finding F.R12_unsafe_primitive "lib/kfs/memfs_unsafe.ml" i))
+         ())
+      ratchet
+  in
+  check Alcotest.int "self-compare: no regressions" 0 (List.length self.B.rejected);
+  check Alcotest.int "self-compare: no progress" 0 (List.length self.B.progress)
+
+(* The [dur] section of ratchet.baseline: per-(rule, file) counts of
+   R16-R18 findings, saved, loaded and judged like [tcb]. *)
+let test_kdur_baseline_roundtrip () =
+  let ratchet =
+    {
+      B.findings = [];
+      tcb = [];
+      (* pre-sorted (file, then rule): load returns sorted entries *)
+      dur =
+        [ count F.R17_ack_before_durable "lib/kblock/journal.ml" 2;
+          count F.R16_unordered_write "lib/kfs/rawlog_unsafe.ml" 2 ];
+      floors = floors 0 0 0 0;
+    }
+  in
+  let path = Filename.temp_file "ratchet" ".baseline" in
+  B.save path ratchet;
+  (match B.load path with
+  | Ok loaded -> check Alcotest.bool "save/load round-trip" true (loaded = ratchet)
+  | Error msg -> Alcotest.fail msg);
+  Sys.remove path;
+  let v =
+    B.check ~allow:false
+      (live
+         ~dur:
+           (finding F.R17_ack_before_durable "lib/kblock/journal.ml" 1
+           :: List.init 3 (fun i -> finding F.R16_unordered_write "lib/kfs/rawlog_unsafe.ml" i))
+         ())
+      ratchet
+  in
+  check triple "dur regression, in the grown file"
+    [ ("R16 lib/kfs/rawlog_unsafe.ml", 3, 2) ] (keys B.Dur v.B.rejected);
+  check triple "dur: the shrunk file is progress"
+    [ ("R17 lib/kblock/journal.ml", 1, 2) ] (keys B.Dur v.B.progress);
+  check Alcotest.int "only the dur section regresses" 1 (List.length v.B.rejected);
+  let self =
+    B.check ~allow:false
+      (live
+         ~dur:
+           (List.init 2 (fun i -> finding F.R17_ack_before_durable "lib/kblock/journal.ml" i)
+           @ List.init 2 (fun i -> finding F.R16_unordered_write "lib/kfs/rawlog_unsafe.ml" i))
+         ())
+      ratchet
+  in
+  check Alcotest.int "self-compare: no regressions" 0 (List.length self.B.rejected);
+  check Alcotest.int "self-compare: no progress" 0 (List.length self.B.progress)
+
+let row ?(divergences = 0) name sub ops =
+  {
+    KV.cov_harness = name; cov_subsystem = sub; cov_ops = ops; cov_states = ops + 7;
+    cov_crash_points = ops / 4; cov_crash_images = ops / 2; cov_skipped = 1;
+    cov_divergences = divergences; cov_deepest = -1; cov_fingerprint = "0123456789abcdef";
+  }
+
+let test_baseline_replay () =
+  (* Every growth one of the four retired ratchets rejected, fed to the
+     one [check]: each is rejected by its named section, [~allow] turns
+     each ratchet rejection into an allowed report, and a refinement
+     divergence stays rejected — it is a failed check, not a ratchet
+     movement. *)
+  let ladder = [ finding F.R5_must_check "lib/a.ml" 10; finding F.R5_must_check "lib/a.ml" 20 ] in
+  let tcb n = List.init n (fun i -> finding F.R12_unsafe_primitive "lib/x.ml" i) in
+  let dur n = List.init n (fun i -> finding F.R16_unordered_write "lib/y.ml" i) in
+  let rows = [ row "journalfs" "journalfs" 100; row "cowfs" "cowfs" 50 ] in
+  let t =
+    {
+      B.findings = B.of_findings ladder;
+      tcb = [ count F.R12_unsafe_primitive "lib/x.ml" 2 ];
+      dur = [ count F.R16_unordered_write "lib/y.ml" 1 ];
+      floors = B.floor_of_rows rows;
+    }
+  in
+  let clean = live ~ladder ~tcb:(tcb 2) ~dur:(dur 1) ~coverage:rows () in
+  let v = B.check ~head:t ~allow:false clean t in
+  check Alcotest.int "the matching tree is clean" 0
+    (List.length (v.B.rejected @ v.B.allowed @ v.B.progress));
+  let replay name ?head ?(spec = false) live section key =
+    let judged = B.check ?head ~allow:false live t in
+    let hits ds = List.filter (fun d -> d.B.section = section && d.B.key = key) ds in
+    check Alcotest.int (name ^ ": rejected by its section") 1 (List.length (hits judged.B.rejected));
+    check Alcotest.int (name ^ ": the only rejection") 1 (List.length judged.B.rejected);
+    let allowed = B.check ?head ~allow:true live t in
+    if spec then
+      check Alcotest.int (name ^ ": no escape forgives it") 1 (List.length (hits allowed.B.rejected))
+    else begin
+      check Alcotest.int (name ^ ": allowed, not rejected") 0 (List.length allowed.B.rejected);
+      check Alcotest.int (name ^ ": reported as allowed") 1 (List.length (hits allowed.B.allowed))
+    end
+  in
+  (* findings: one more entry in a (rule, file) versus head *)
+  let head = { t with B.findings = B.of_findings [ List.hd ladder ] } in
+  replay "findings grew vs head" ~head clean B.Findings "R5 lib/a.ml";
+  (* renumbering without a count change is not growth *)
+  let renumbered =
+    { t with B.findings = B.of_findings (List.map (fun f -> { f with F.line = f.F.line + 5 }) ladder) }
+  in
+  check Alcotest.int "renumbering is not growth" 0
+    (List.length (B.check ~head:renumbered ~allow:false clean t).B.rejected);
+  replay "R12 count above the file" { clean with B.tcb_findings = tcb 3 } B.Tcb "R12 lib/x.ml";
+  replay "R16 count above the file" { clean with B.dur_findings = dur 2 } B.Dur "R16 lib/y.ml";
+  replay "ops below the floor"
+    { clean with
+      B.coverage = Some [ row "journalfs" "journalfs" 100; { (row "cowfs" "cowfs" 50) with KV.cov_ops = 49 } ] }
+    B.Floors "ops";
+  replay "a lost harness"
+    { clean with B.coverage = Some [ row "journalfs" "journalfs" 200 ] }
+    B.Floors "harnesses";
+  replay "a diverging harness" ~spec:true
+    { clean with B.coverage = Some [ row "journalfs" "journalfs" 100; row ~divergences:2 "cowfs" "cowfs" 50 ] }
+    B.Floors "harness cowfs divergences (deepest at step -1)";
+  (* a committed count rise or floor drop versus head *)
+  replay "tcb count rose vs head" ~head:{ t with B.tcb = [ count F.R12_unsafe_primitive "lib/x.ml" 1 ] }
+    { clean with B.tcb_findings = tcb 1 } B.Tcb "R12 lib/x.ml";
+  replay "dur count rose vs head" ~head:{ t with B.dur = [] } { clean with B.dur_findings = [] }
+    B.Dur "R16 lib/y.ml";
+  replay "ops floor dropped vs head"
+    ~head:{ t with B.floors = List.map (fun (k, v) -> (k, if k = "ops" then v + 1 else v)) t.B.floors }
+    clean B.Floors "ops"
+
+let test_baseline_malformed () =
+  let err text =
+    match B.of_string text with
+    | Ok _ -> Alcotest.fail ("parsed: " ^ text)
+    | Error msg -> msg
+  in
+  let msg = Alcotest.string in
+  check msg "unknown section" "line 9: unknown section [alloc-ceilings]"
+    (err (ratchet_text () ^ "[alloc-ceilings]\n"));
+  check msg "duplicate section" "line 4: duplicate section [tcb]"
+    (err (ratchet_text ~dur:"[tcb]\n" ()));
+  check msg "line before any section" "line 2: entry before any section: \"ops 1\""
+    (err ("# header\nops 1\n" ^ ratchet_text ()));
+  check msg "missing floor key" "missing floor key states in [refine-floors]"
+    (err (ratchet_text ~floors:"harnesses 1\nops 1\ncrash_images 1\n" ()));
+  check msg "repeated floor key" "line 8 [refine-floors]: repeated floor key ops"
+    (err (ratchet_text ~floors:"harnesses 1\nops 1\nstates 1\nops 2\ncrash_images 1\n" ()));
+  check msg "missing section" "missing section [dur]"
+    (err "[findings]\n[tcb]\n[refine-floors]\nharnesses 0\nops 0\nstates 0\ncrash_images 0\n");
+  check msg "bad entry" "line 2 [findings]: missing :line in \"lib/a.ml\""
+    (err (ratchet_text ~findings:"R5 lib/a.ml semantic\n" ()));
+  match B.load (Filename.concat (Filename.get_temp_dir_name ()) "no-such-ratchet.baseline") with
+  | Ok _ -> Alcotest.fail "a missing ratchet file loaded"
+  | Error _ -> ()
 
 (* ktcb: frame confinement (R12-R14) and the TCB metric ------------------ *)
 
@@ -621,7 +850,7 @@ let ktcb_ids (k : K.result) = List.map (fun f -> F.rule_id f.F.rule) k.K.finding
 
 let test_ktcb_r12_direct () =
   (* Direct Dyn access from a service module: R12, kept out of the
-     ladder findings — its ratchet is tcb.baseline, not klint.baseline. *)
+     ladder findings — its ratchet is [tcb], not [findings]. *)
   let _, tree =
     lint_tree_fixture
       [ ("lib/fixture/svc.ml", "let lookup key d = Ksim.Dyn.project key d\n") ]
@@ -708,38 +937,6 @@ let test_ktcb_r14_unsound_export () =
       ]
   in
   check ids "frame-internal consumption is clean" [] (ktcb_ids good.E.ktcb)
-
-let test_ktcb_baseline_ratchet () =
-  let e rule file count = { K.b_rule = rule; b_file = file; b_count = count } in
-  let base =
-    List.sort K.compare_entry
-      [
-        e F.R12_unsafe_primitive "lib/kfs/memfs_unsafe.ml" 2;
-        e F.R13_frame_bypass "lib/knet/amp.ml" 1;
-      ]
-  in
-  (match K.of_string (K.to_string base) with
-  | Ok base' -> check Alcotest.bool "to_string/of_string round-trip" true (base = base')
-  | Error msg -> Alcotest.fail msg);
-  (match K.of_string "R99 lib/foo.ml 1\n" with
-  | Ok _ -> Alcotest.fail "unknown rule id parsed?"
-  | Error _ -> ());
-  (* counts, not lines: one more finding in a priced file is a
-     regression, a vanished entry is ratchet progress *)
-  let current = [ e F.R12_unsafe_primitive "lib/kfs/memfs_unsafe.ml" 3 ] in
-  let regressions, progress = K.compare_counts ~baseline:base current in
-  (match regressions with
-  | [ r ] ->
-      check Alcotest.int "regression live count" 3 r.K.d_have;
-      check Alcotest.int "regression grandfathered count" 2 r.K.d_allowed
-  | _ -> Alcotest.fail "expected exactly one regression");
-  (match progress with
-  | [ p ] -> check Alcotest.string "vanished entry is progress" "lib/knet/amp.ml" p.K.d_file
-  | _ -> Alcotest.fail "expected exactly one progress entry");
-  (* identical counts are neither growth nor progress *)
-  let regressions, progress = K.compare_counts ~baseline:base base in
-  check Alcotest.int "self-compare: no regressions" 0 (List.length regressions);
-  check Alcotest.int "self-compare: no progress" 0 (List.length progress)
 
 let test_ktcb_runtime_reconciliation () =
   (* Attribution for the runtime reconciliations: a frame-free module
@@ -902,42 +1099,6 @@ let test_kdur_r18_obligation_dropped () =
   in
   check ids "a flushing callee leaves nothing to forward" [] (kdur_ids mixed.E.kdur)
 
-let test_kdur_baseline_roundtrip () =
-  (* dur.baseline rides the shared Counts engine: save/load round-trip
-     and the regression/progress split. *)
-  let module C = Klint.Baseline.Counts in
-  let e rule file count = { C.b_rule = rule; b_file = file; b_count = count } in
-  let base =
-    (* pre-sorted (file, then rule): load returns sorted entries *)
-    [
-      e F.R17_ack_before_durable "lib/kblock/journal.ml" 2;
-      e F.R16_unordered_write "lib/kfs/rawlog_unsafe.ml" 2;
-    ]
-  in
-  let path = Filename.temp_file "dur_baseline" ".txt" in
-  D.save_baseline path base;
-  (match D.load_baseline path with
-  | Ok loaded -> check Alcotest.bool "save/load round-trip" true (loaded = base)
-  | Error msg -> Alcotest.fail msg);
-  Sys.remove path;
-  let current =
-    [
-      e F.R16_unordered_write "lib/kfs/rawlog_unsafe.ml" 3;
-      e F.R17_ack_before_durable "lib/kblock/journal.ml" 1;
-    ]
-  in
-  let regressions, progress = C.compare_counts ~baseline:base current in
-  (match regressions with
-  | [ r ] ->
-      check Alcotest.string "one regression, in the grown file" "lib/kfs/rawlog_unsafe.ml"
-        r.C.d_file;
-      check Alcotest.int "live count" 3 r.C.d_have;
-      check Alcotest.int "grandfathered count" 2 r.C.d_allowed
-  | _ -> Alcotest.fail "expected exactly one regression");
-  match progress with
-  | [ p ] -> check Alcotest.int "the shrunk file is progress" 1 p.C.d_have
-  | _ -> Alcotest.fail "expected exactly one progress entry"
-
 let test_kdur_wcache_reconciliation () =
   (* The runtime closure: export lines parse (malformed ones are hard
      errors), caches attribute to linted files by module basename, and a
@@ -1054,23 +1215,22 @@ let with_repo_root f =
   | Some root when Sys.file_exists (Filename.concat root "lib") -> f root
   | _ -> ()
 
+let load_ratchet root =
+  match B.load (Filename.concat root "ratchet.baseline") with
+  | Ok t -> t
+  | Error msg -> Alcotest.fail msg
+
 let test_shipped_tree_clean () =
   with_repo_root (fun root ->
       let tree = E.lint_tree ~root in
       check Alcotest.int "whole tree parses" 0 (List.length tree.E.parse_errors);
       check Alcotest.bool "the exhibits keep their findings" true (tree.E.findings <> []);
-      let baseline =
-        match B.load (Filename.concat root "klint.baseline") with
-        | Ok b -> b
-        | Error msg -> Alcotest.fail msg
-      in
+      let baseline = (load_ratchet root).B.findings in
       let registry =
         Safeos_core.Boot.registry ~loc_of:(fun name -> Klint.registry_loc ~root name) ()
       in
       let r = E.reconcile ~registry ~baseline tree.E.findings in
       check Alcotest.int "shipped tree has no violations" 0 (List.length r.E.violations);
-      check Alcotest.int "checked-in baseline is not stale" 0
-        (List.length r.E.stale_baseline);
       (* every finding lands in a known subsystem *)
       List.iter
         (fun a -> check Alcotest.bool "attributed" true (a.E.sub <> "unmapped"))
@@ -1145,16 +1305,6 @@ let test_ktcb_shipped_tree () =
       check Alcotest.bool "the frame surface is measured" true (k.K.surface_vals > 0);
       check Alcotest.bool "unsafe TCB is a strict minority" true
         (k.K.unsafe_loc * 2 < k.K.total_loc);
-      let baseline =
-        match K.load (Filename.concat root "tcb.baseline") with
-        | Ok b -> b
-        | Error msg -> Alcotest.fail msg
-      in
-      let regressions, progress =
-        K.compare_counts ~baseline (K.counts_of_findings k.K.findings)
-      in
-      check Alcotest.int "no tcb regressions" 0 (List.length regressions);
-      check Alcotest.int "checked-in tcb baseline is not stale" 0 (List.length progress);
       (* runtime heap traffic from the frame's own allocator is priced *)
       let files = Klint.Loc.ml_files_under ~root "lib" in
       let ev = { Klint.Kown.kind = "free"; heap = "kmem"; site = "s"; count = 1 } in
@@ -1197,18 +1347,43 @@ let test_kdur_shipped_tree () =
       (* the annotated write paths registered as contracts *)
       check Alcotest.bool "durable contracts are seen" true (d.D.durable_funcs >= 4);
       check Alcotest.bool "ordering contracts are seen" true (d.D.ordering_funcs >= 2);
-      check Alcotest.bool "the tree has flushing functions" true (d.D.flushing_funcs > 0);
-      let baseline =
-        match D.load_baseline (Filename.concat root "dur.baseline") with
-        | Ok b -> b
-        | Error msg -> Alcotest.fail msg
+      check Alcotest.bool "the tree has flushing functions" true (d.D.flushing_funcs > 0))
+
+let test_shipped_ratchet () =
+  (* The checked-in ratchet.baseline matches the live tree exactly: no
+     section regresses, none is stale, and --update-ratchet (tighten,
+     without coverage so the floors carry over) rewrites it byte for
+     byte.  A regression acknowledged with ALLOW_RATCHET_CHANGE=1 is
+     allowed here exactly as in the klint stage, so the one escape works
+     for the whole of ci.sh. *)
+  with_repo_root (fun root ->
+      let tree = E.lint_tree ~root in
+      let ratchet = load_ratchet root in
+      let live =
+        live ~ladder:tree.E.findings ~tcb:tree.E.ktcb.K.findings ~dur:tree.E.kdur.D.findings ()
       in
-      let regressions, progress =
-        Klint.Baseline.Counts.compare_counts ~baseline
-          (Klint.Baseline.Counts.of_findings d.D.findings)
+      let allow = Sys.getenv_opt "ALLOW_RATCHET_CHANGE" = Some "1" in
+      let v = B.check ~allow live ratchet in
+      let in_section section ds = List.filter (fun d -> d.B.section = section) ds in
+      check Alcotest.int "no tcb regressions" 0 (List.length (in_section B.Tcb v.B.rejected));
+      check Alcotest.int "no dur regressions" 0 (List.length (in_section B.Dur v.B.rejected));
+      check Alcotest.int "nothing rejected" 0 (List.length v.B.rejected);
+      check Alcotest.int "checked-in baseline is not stale" 0
+        (List.length (in_section B.Findings v.B.progress));
+      let r = E.reconcile ~baseline:ratchet.B.findings tree.E.findings in
+      check Alcotest.int "the reconciliation agrees" 0 (List.length r.E.stale_baseline);
+      check Alcotest.int "checked-in tcb baseline is not stale" 0
+        (List.length (in_section B.Tcb v.B.progress));
+      check Alcotest.int "checked-in dur baseline is not stale" 0
+        (List.length (in_section B.Dur v.B.progress));
+      let on_disk =
+        In_channel.with_open_bin (Filename.concat root "ratchet.baseline") In_channel.input_all
       in
-      check Alcotest.int "no dur regressions" 0 (List.length regressions);
-      check Alcotest.int "checked-in dur baseline is not stale" 0 (List.length progress))
+      check Alcotest.string "--update-ratchet leaves the clean tree's file unchanged" on_disk
+        (B.to_string (B.tighten ~allow:false live ratchet));
+      (* with the escape it writes the live tree exactly *)
+      check Alcotest.bool "--allow-ratchet-change writes the live findings" true
+        ((B.tighten ~allow:true live ratchet).B.findings = B.of_findings tree.E.findings))
 
 let test_loc_derivation () =
   with_repo_root (fun root ->
@@ -1229,7 +1404,6 @@ let test_loc_derivation () =
 
 (* kverify: the R15 "verified means checked" pass --------------------------- *)
 
-module KV = Klint.Kverify
 
 (* A throwaway registry with one Verified claim and one Type_safe one —
    just enough surface for the R15 predicate. *)
@@ -1329,13 +1503,6 @@ let test_kverify_shipped_tree_covered () =
         (List.length (KV.r15 ~registry:broken tree.E.kverify)))
 
 let test_kverify_coverage_ratchet () =
-  let row name sub ops =
-    {
-      KV.cov_harness = name; cov_subsystem = sub; cov_ops = ops; cov_states = ops + 7;
-      cov_crash_points = ops / 4; cov_crash_images = ops / 2; cov_skipped = 1;
-      cov_divergences = 0; cov_deepest = -1; cov_fingerprint = "0123456789abcdef";
-    }
-  in
   let rows = [ row "journalfs" "journalfs" 1000; row "cowfs" "cowfs" 800 ] in
   (* row round-trip through the on-disk line format *)
   List.iter
@@ -1355,27 +1522,23 @@ let test_kverify_coverage_ratchet () =
   | Error msg -> Alcotest.fail msg);
   Sys.remove path;
   (* the floor aggregates, round-trips, and ratchets in both directions *)
-  let f = KV.floor_of_rows rows in
-  check Alcotest.int "floor harness count" 2 f.KV.min_harnesses;
-  check Alcotest.int "floor ops sum" 1800 f.KV.min_ops;
-  check Alcotest.int "floor crash-image sum" 900 f.KV.min_crash_images;
-  (match KV.floor_of_string (KV.floor_to_string f) with
-  | Ok f' -> check Alcotest.bool "floor round-trips" true (f = f')
+  let f = B.floor_of_rows rows in
+  check Alcotest.int "floor harness count" 2 (List.assoc "harnesses" f);
+  check Alcotest.int "floor ops sum" 1800 (List.assoc "ops" f);
+  check Alcotest.int "floor crash-image sum" 900 (List.assoc "crash_images" f);
+  let t = { B.findings = []; tcb = []; dur = []; floors = f } in
+  (match B.of_string (B.to_string t) with
+  | Ok t' -> check Alcotest.bool "floor round-trips" true (t = t')
   | Error msg -> Alcotest.fail msg);
-  let regressions, progress =
-    KV.compare_floor ~baseline:f (KV.floor_of_rows [ row "journalfs" "journalfs" 1000 ])
-  in
-  check Alcotest.bool "losing a harness regresses" true
-    (List.exists (fun (m, _, _) -> m = "harnesses") regressions);
-  check Alcotest.bool "fewer ops regress" true
-    (List.exists (fun (m, _, _) -> m = "ops") regressions);
-  check Alcotest.int "nothing improved" 0 (List.length progress);
-  let regressions, progress =
-    KV.compare_floor ~baseline:f
-      (KV.floor_of_rows (row "micro" "journalfs" 200 :: rows))
-  in
-  check Alcotest.int "growing coverage is not a regression" 0 (List.length regressions);
-  check Alcotest.bool "and is reported as progress" true (List.length progress >= 2)
+  let judged rows = B.check ~allow:false (live ~coverage:rows ()) t in
+  let v = judged [ row "journalfs" "journalfs" 1000 ] in
+  let has key ds = List.exists (fun d -> d.B.key = key) ds in
+  check Alcotest.bool "losing a harness regresses" true (has "harnesses" v.B.rejected);
+  check Alcotest.bool "fewer ops regress" true (has "ops" v.B.rejected);
+  check Alcotest.int "nothing improved" 0 (List.length v.B.progress);
+  let v = judged (row "micro" "journalfs" 200 :: rows) in
+  check Alcotest.int "growing coverage is not a regression" 0 (List.length v.B.rejected);
+  check Alcotest.bool "and is reported as progress" true (List.length v.B.progress >= 2)
 
 let test_effective_loc () =
   let src =
@@ -1721,7 +1884,12 @@ let () =
             test_reconcile_lock_violation;
         ] );
       ( "baseline",
-        [ Alcotest.test_case "round-trip and ratchet" `Quick test_baseline_roundtrip ] );
+        [
+          Alcotest.test_case "round-trip and ratchet" `Quick test_baseline_roundtrip;
+          Alcotest.test_case "replay of every rejected growth" `Quick test_baseline_replay;
+          Alcotest.test_case "malformed input names section and line" `Quick
+            test_baseline_malformed;
+        ] );
       ( "ktcb",
         [
           Alcotest.test_case "r12 direct primitive outside the frame" `Quick
@@ -1770,6 +1938,7 @@ let () =
             test_kown_shipped_exhibits;
           Alcotest.test_case "frame confinement on the shipped tree" `Quick
             test_ktcb_shipped_tree;
+          Alcotest.test_case "checked-in ratchet matches the tree" `Quick test_shipped_ratchet;
           Alcotest.test_case "barrier discipline on the shipped tree" `Quick
             test_kdur_shipped_tree;
           Alcotest.test_case "registry loc derived from klint" `Quick test_loc_derivation;
