@@ -8,7 +8,7 @@
 let ( / ) = Filename.concat
 
 let run root_opt ratchet_opt report_opt update_ratchet allow_ratchet_change ratchet_head verbose
-    lockdep_edges lock_graph_dot kmem_events refine_coverage wcache_violations =
+    lock_graph_dot refine_coverage runtime_events =
   let root =
     match root_opt with
     | Some r -> r
@@ -55,6 +55,25 @@ let run root_opt ratchet_opt report_opt update_ratchet allow_ratchet_change ratc
             Fmt.epr "klint: bad refine coverage %s: %s@." path msg;
             exit 2)
   in
+  (* The runtime fact sink's export, read once and split per pass. *)
+  let runtime =
+    match runtime_events with
+    | None -> None
+    (* no file: no process exported a single fact *)
+    | Some path when not (Sys.file_exists path) -> Some []
+    | Some path -> (
+        match Ksim.Ktrace.read_facts path with
+        | Ok facts -> Some facts
+        | Error msg ->
+            Fmt.epr "klint: bad runtime events %s@." msg;
+            exit 2)
+  in
+  let pick f = Option.map (List.filter_map f) runtime in
+  let lock_edges =
+    pick (function Ksim.Ktrace.Lock_edge e -> Some (e.held, e.acquired) | _ -> None)
+  in
+  let heap_events = pick (function Ksim.Ktrace.Heap_event e -> Some e | _ -> None) in
+  let order_violations = pick (function Ksim.Ktrace.Order_violation v -> Some v | _ -> None) in
   let live =
     {
       Klint.Baseline.ladder = tree.Klint.Engine.findings;
@@ -115,63 +134,66 @@ let run root_opt ratchet_opt report_opt update_ratchet allow_ratchet_change ratc
       close_out oc;
       Fmt.pr "klint: lock graph written to %s@." path
   | None -> ());
+  (* A kind of fact the file lacks would pass its reconciliation vacuously. *)
+  let vacuity_rc =
+    match runtime with
+    | None -> 0
+    | Some facts -> (
+        match Klint.missing_runtime_kinds facts with
+        | [] -> 0
+        | missing ->
+            List.iter
+              (Fmt.epr "klint: FAIL — no runtime %s were exported; the capture is broken@.")
+              missing;
+            1)
+  in
   (* Static/runtime reconciliation: every lock nesting the tests saw must
      already be in the static graph, otherwise the analysis has a hole. *)
   let reconcile_rc =
-    match lockdep_edges with
+    match lock_edges with
     | None -> 0
-    | Some path -> (
-        match Klint.Kracer.read_runtime_edges path with
-        | Error msg ->
-            Fmt.epr "klint: %s@." msg;
-            2
-        | Ok runtime -> (
-            let tcb_lock_rc =
-              (* Frame-confinement attribution: a runtime lock class the
-                 static graph has never seen, created by a module the
-                 TCB metric classifies as frame-free, is a confinement
-                 hole, not just a kracer gap. *)
-              let static_classes =
-                List.sort_uniq String.compare
-                  (List.concat_map
-                     (fun (a, b) -> [ a; b ])
-                     kracer.Klint.Kracer.edges
-                  @ List.map snd kracer.Klint.Kracer.guards)
-              in
-              match
-                Klint.Ktcb.unsound_lock_edges ~result:tree.Klint.Engine.ktcb
-                  ~static_classes runtime
-              with
-              | [] -> 0
-              | unsound ->
-                  List.iter
-                    (fun (cls, file) ->
-                      Fmt.epr
-                        "klint: UNSOUND — runtime lock class %s is created in %s, which the \
-                         TCB metric classifies as frame-free, and is absent from the static \
-                         lock graph@."
-                        cls file)
-                    unsound;
-                  1
-            in
-            match
-              Klint.Kracer.missing_runtime_edges ~static:kracer.Klint.Kracer.edges runtime
-            with
-            | [] ->
-                if tcb_lock_rc = 0 then
-                  Fmt.pr
-                    "klint: lockdep reconciliation — %d runtime edges, all covered \
-                     statically and TCB-confined@."
-                    (List.length runtime);
-                tcb_lock_rc
-            | missing ->
-                List.iter
-                  (fun (a, b) ->
-                    Fmt.epr
-                      "klint: UNSOUND — runtime lock order %s -> %s is missing from the static graph@."
-                      a b)
-                  missing;
-                1))
+    | Some runtime -> (
+        let tcb_lock_rc =
+          (* Frame-confinement attribution: a runtime lock class the
+             static graph has never seen, created by a module the TCB
+             metric classifies as frame-free, is a confinement hole, not
+             just a kracer gap. *)
+          let static_classes =
+            List.sort_uniq String.compare
+              (List.concat_map (fun (a, b) -> [ a; b ]) kracer.Klint.Kracer.edges
+              @ List.map snd kracer.Klint.Kracer.guards)
+          in
+          match
+            Klint.Ktcb.unsound_lock_edges ~result:tree.Klint.Engine.ktcb ~static_classes runtime
+          with
+          | [] -> 0
+          | unsound ->
+              List.iter
+                (fun (cls, file) ->
+                  Fmt.epr
+                    "klint: UNSOUND — runtime lock class %s is created in %s, which the TCB \
+                     metric classifies as frame-free, and is absent from the static lock \
+                     graph@."
+                    cls file)
+                unsound;
+              1
+        in
+        match Klint.Kracer.missing_runtime_edges ~static:kracer.Klint.Kracer.edges runtime with
+        | [] ->
+            if tcb_lock_rc = 0 then
+              Fmt.pr
+                "klint: lockdep reconciliation — %d runtime lock-class edges, all covered \
+                 statically and TCB-confined@."
+                (List.length (Klint.Kracer.runtime_class_edges runtime));
+            tcb_lock_rc
+        | missing ->
+            List.iter
+              (fun (a, b) ->
+                Fmt.epr
+                  "klint: UNSOUND — runtime lock order %s -> %s is missing from the static graph@."
+                  a b)
+              missing;
+            1)
   in
   (* Same closure for the ownership pass: every heap event the tests
      observed must correspond to a static R8-R11 finding in that file. *)
@@ -180,53 +202,46 @@ let run root_opt ratchet_opt report_opt update_ratchet allow_ratchet_change ratc
     kown.Klint.Kown.funcs kown.Klint.Kown.consuming kown.Klint.Kown.returning_owned;
   let ktcb = tree.Klint.Engine.ktcb in
   let kmem_rc =
-    match kmem_events with
+    match heap_events with
     | None -> 0
-    | Some path -> (
-        match Klint.Kown.read_kmem_events path with
-        | Error msg ->
-            Fmt.epr "klint: %s@." msg;
-            2
-        | Ok events -> (
-            let tcb_rc =
-              (* The frame-confinement half of the same contract: raw
-                 heap traffic must originate from the frame or a module
-                 the TCB metric already prices as unsafe. *)
-              match
-                Klint.Ktcb.unsound_kmem_events ~files:tree.Klint.Engine.files ~result:ktcb
-                  events
-              with
-              | [] -> 0
-              | unsound ->
-                  List.iter
-                    (fun ((ev : Klint.Kown.kmem_event), file) ->
-                      Fmt.epr
-                        "klint: UNSOUND — runtime %s event on heap %s (x%d) originates from \
-                         %s, which the TCB metric classifies as frame-free@."
-                        ev.Klint.Kown.kind ev.Klint.Kown.heap ev.Klint.Kown.count file)
-                    unsound;
-                  1
-            in
-            match
-              Klint.Kown.unflagged_kmem_events ~files:tree.Klint.Engine.files
-                ~findings:tree.Klint.Engine.findings events
-            with
-            | [] ->
-                if tcb_rc = 0 then
-                  Fmt.pr
-                    "klint: kmem reconciliation — %d runtime events, all flagged statically \
-                     and TCB-confined@."
-                    (List.length events);
-                tcb_rc
-            | missing ->
-                List.iter
-                  (fun ((ev : Klint.Kown.kmem_event), file, rule) ->
-                    Fmt.epr
-                      "klint: UNSOUND — runtime %s event on heap %s (x%d) has no static %s finding in %s@."
-                      ev.Klint.Kown.kind ev.Klint.Kown.heap ev.Klint.Kown.count
-                      (Klint.Finding.rule_id rule) file)
-                  missing;
-                1))
+    | Some events -> (
+        let tcb_rc =
+          (* The frame-confinement half of the same contract: raw heap
+             traffic must originate from the frame or a module the TCB
+             metric already prices as unsafe. *)
+          match
+            Klint.Ktcb.unsound_kmem_events ~files:tree.Klint.Engine.files ~result:ktcb events
+          with
+          | [] -> 0
+          | unsound ->
+              List.iter
+                (fun ((ev : Ksim.Ktrace.heap_event), file) ->
+                  Fmt.epr
+                    "klint: UNSOUND — runtime %s event on heap %s (x%d) originates from %s, \
+                     which the TCB metric classifies as frame-free@."
+                    ev.kind ev.heap ev.count file)
+                unsound;
+              1
+        in
+        match
+          Klint.Kown.unflagged_kmem_events ~files:tree.Klint.Engine.files
+            ~findings:tree.Klint.Engine.findings events
+        with
+        | [] ->
+            if tcb_rc = 0 then
+              Fmt.pr
+                "klint: kmem reconciliation — %d runtime events, all flagged statically and \
+                 TCB-confined@."
+                (List.length events);
+            tcb_rc
+        | missing ->
+            List.iter
+              (fun ((ev : Ksim.Ktrace.heap_event), file, rule) ->
+                Fmt.epr
+                  "klint: UNSOUND — runtime %s event on heap %s (x%d) has no static %s finding in %s@."
+                  ev.kind ev.heap ev.count (Klint.Finding.rule_id rule) file)
+              missing;
+            1)
   in
   let reconcile_rc = max reconcile_rc kmem_rc in
   (* Same closure for the durability pass: every barrier-discipline
@@ -243,35 +258,29 @@ let run root_opt ratchet_opt report_opt update_ratchet allow_ratchet_change ratc
       (fun f -> Fmt.pr "%a  [dur]@." Klint.Finding.pp f)
       kdur.Klint.Kdur.findings;
   let wcache_rc =
-    match wcache_violations with
+    match order_violations with
     | None -> 0
-    | Some path -> (
-        match Klint.Kdur.read_wcache_violations path with
-        | Error msg ->
-            Fmt.epr "klint: %s@." msg;
-            2
-        | Ok events -> (
-            match
-              Klint.Kdur.unflagged_wcache_violations ~files:tree.Klint.Engine.files
-                ~findings:kdur.Klint.Kdur.findings events
-            with
-            | [] ->
-                Fmt.pr
-                  "klint: wcache reconciliation — %d runtime violations, all covered \
-                   statically@."
-                  (List.length events);
-                0
-            | missing ->
-                List.iter
-                  (fun (cache, file, n) ->
-                    Fmt.epr
-                      "klint: UNSOUND — runtime barrier violation on cache %s (x%d) has no \
-                       static R16 finding in %s@."
-                      cache n file)
-                  missing;
-                1))
+    | Some events -> (
+        match
+          Klint.Kdur.unflagged_wcache_violations ~files:tree.Klint.Engine.files
+            ~findings:kdur.Klint.Kdur.findings events
+        with
+        | [] ->
+            Fmt.pr
+              "klint: wcache reconciliation — %d runtime violations, all covered statically@."
+              (List.length events);
+            0
+        | missing ->
+            List.iter
+              (fun (cache, file, n) ->
+                Fmt.epr
+                  "klint: UNSOUND — runtime barrier violation on cache %s (x%d) has no static \
+                   R16 finding in %s@."
+                  cache n file)
+              missing;
+            1)
   in
-  let reconcile_rc = max reconcile_rc wcache_rc in
+  let reconcile_rc = max vacuity_rc (max reconcile_rc wcache_rc) in
   Fmt.pr "klint: tcb — %d/%d unsafe lines (%.1f%%), frame %d files/%d lines, surface %d vals@."
     ktcb.Klint.Ktcb.unsafe_loc ktcb.Klint.Ktcb.total_loc (Klint.Ktcb.ratio ktcb)
     ktcb.Klint.Ktcb.frame_files ktcb.Klint.Ktcb.frame_loc ktcb.Klint.Ktcb.surface_vals;
@@ -353,21 +362,9 @@ let ratchet_head =
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every finding")
 
-let lockdep_edges =
-  Arg.(value & opt (some string) None & info [ "lockdep-edges" ] ~docv:"FILE"
-         ~doc:"Reconcile the static lock-order graph against runtime edges exported by \
-               Ksim.Lockdep (KSIM_LOCKDEP_EXPORT); exit 1 if any runtime edge is missing \
-               from the static graph")
-
 let lock_graph_dot =
   Arg.(value & opt (some string) None & info [ "lock-graph-dot" ] ~docv:"FILE"
          ~doc:"Write the static lock-order graph as Graphviz dot")
-
-let kmem_events =
-  Arg.(value & opt (some string) None & info [ "kmem-events" ] ~docv:"FILE"
-         ~doc:"Reconcile kown's static R8-R11 findings against runtime heap events \
-               exported by Ksim.Kmem (KSIM_KMEM_EXPORT); exit 1 if any runtime event \
-               hit a linted file kown did not flag")
 
 let refine_coverage =
   Arg.(value & opt (some string) None & info [ "refine-coverage" ] ~docv:"FILE"
@@ -375,18 +372,20 @@ let refine_coverage =
                against the ratchet's floors, and embed it in the JSON report; exit 1 on \
                reported divergences or coverage regressions")
 
-let wcache_violations =
-  Arg.(value & opt (some string) None & info [ "wcache-violations" ] ~docv:"FILE"
-         ~doc:"Reconcile kdur's static R16 findings against barrier-discipline violations \
-               exported by Kblock.Wcache (KSIM_WCACHE_EXPORT); exit 1 if any runtime \
-               violation hit a linted file kdur did not flag")
+let runtime_events =
+  Arg.(value & opt (some string) None & info [ "runtime-events" ] ~docv:"FILE"
+         ~doc:"Reconcile the static analyses against the runtime facts in FILE, written by \
+               Ksim.Ktrace's exit hook (KSIM_TRACE): lock edges against kracer's lock \
+               graph, heap events against kown's R8-R11 findings, barrier-order violations \
+               against kdur's R16 findings, and all three against the TCB metric's frame \
+               confinement; exit 1 if any runtime fact is not covered statically or the \
+               file holds no fact of some kind, 2 if FILE is malformed")
 
 let cmd =
   Cmd.v
     (Cmd.info "klint" ~version:"1.0.0"
        ~doc:"Static safety-ladder linter: enforce Registry level claims against the source tree")
     Term.(const run $ root $ ratchet $ report $ update_ratchet $ allow_ratchet_change
-          $ ratchet_head $ verbose $ lockdep_edges $ lock_graph_dot $ kmem_events
-          $ refine_coverage $ wcache_violations)
+          $ ratchet_head $ verbose $ lock_graph_dot $ refine_coverage $ runtime_events)
 
 let () = exit (Cmd.eval' cmd)

@@ -53,12 +53,7 @@ type frame = {
   volatile : entry list; (* oldest first; any subset, any order *)
 }
 
-type violation = {
-  v_blkno : int; (* the block read back while unflushed *)
-  v_read_seq : int; (* wseq of the unflushed content that was read *)
-  v_write_blkno : int; (* the dependent write issued without a barrier *)
-  v_write_seq : int;
-}
+type violation = Ksim.Ktrace.order_violation
 
 (* The registry with this cache's two sites, kept from [register] so an
    I/O never looks a site up by name. *)
@@ -98,9 +93,14 @@ let site name kind = name ^ "." ^ kind
 let flush_dropped_site t = site t.name "flush-dropped"
 let writeback_reorder_site t = site t.name "writeback-reorder"
 
-(* Every recorded violation with its cache's name, newest first: what the
-   KSIM_WCACHE_EXPORT hook writes.  It never holds a cache. *)
-let sink : (string * violation) list ref = ref []
+(* Every recorded violation with its cache's name, newest first: the
+   order-violation source of the runtime fact sink.  It never holds a
+   cache. *)
+let sink : violation list ref = ref []
+
+let () =
+  Ksim.Ktrace.register_source (fun () ->
+      List.rev_map (fun v -> Ksim.Ktrace.Order_violation v) !sink)
 
 let create ?(name = "wcache") ?(capacity = 32) ?fp ?(seed = 0)
     ?(trace = Ksim.Ktrace.global) base =
@@ -170,18 +170,18 @@ let evict_one t =
              write or the next flush retries. *)
           t.writeback_errors <- t.writeback_errors + 1)
 
-let record_violation t ~v_blkno ~v_read_seq ~v_write_blkno ~v_write_seq =
+let record_violation t ~blkno ~read_seq ~write_blkno ~write_seq =
   t.nviolations <- t.nviolations + 1;
   if List.length t.violations < 64 then begin
-    let v = { v_blkno; v_read_seq; v_write_blkno; v_write_seq } in
+    let v = { Ksim.Ktrace.cache = t.name; blkno; read_seq; write_blkno; write_seq } in
     t.violations <- v :: t.violations;
-    sink := (t.name, v) :: !sink
+    sink := v :: !sink
   end;
   if t.nviolations <= 8 then
     Ksim.Ktrace.emitf t.trace ~category:"incident"
       "wcache %s: barrier-discipline violation: block %d read back unflushed \
        (wseq %d), then block %d written (wseq %d) without an intervening flush"
-      t.name v_blkno v_read_seq v_write_blkno v_write_seq
+      t.name blkno read_seq write_blkno write_seq
 
 (* A write while tainted reads are outstanding: the new content may
    depend on data that a crash can still lose — ALICE's ordering bug.
@@ -196,8 +196,7 @@ let check_ordering t blkno wseq =
     in
     List.iter
       (fun (b, read_seq) ->
-        record_violation t ~v_blkno:b ~v_read_seq:read_seq ~v_write_blkno:blkno
-          ~v_write_seq:wseq;
+        record_violation t ~blkno:b ~read_seq ~write_blkno:blkno ~write_seq:wseq;
         Hashtbl.remove t.tainted b)
       flagged
   end
@@ -457,38 +456,3 @@ let io t : Io.t =
     flush = (fun () -> flush t);
     write_fua = Some (write_fua t);
   }
-
-(* Runtime audit export ----------------------------------------------------- *)
-
-(* One "name\tblkno\tread_seq\twrite_blkno\twrite_seq" line per recorded
-   ordering violation, the wire format klint's kdur reconciliation
-   ([--wcache-violations]) consumes.  Append-mode so every test binary in
-   a suite contributes to the same file, mirroring [Kmem]'s export. *)
-let append_rows ~path = function
-  | [] -> ()
-  | rows ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          List.iter
-            (fun (name, v) ->
-              Printf.fprintf oc "%s\t%d\t%d\t%d\t%d\n" name v.v_blkno v.v_read_seq
-                v.v_write_blkno v.v_write_seq)
-            rows)
-
-let append_violations_to_file t ~path =
-  append_rows ~path (List.map (fun v -> (t.name, v)) (audit t))
-
-let exported_violations () = List.rev !sink
-let export_env = "KSIM_WCACHE_EXPORT"
-
-(* When [KSIM_WCACHE_EXPORT] names a file, every process dumps the sink
-   there on exit: `scripts/ci.sh` sets it across `dune runtest` so kdur
-   can check its static R16 findings against every barrier-discipline
-   violation the suite actually provoked. *)
-let () =
-  match Sys.getenv_opt export_env with
-  | Some path when path <> "" ->
-      at_exit (fun () -> try append_rows ~path (exported_violations ()) with Sys_error _ -> ())
-  | Some _ | None -> ()

@@ -31,12 +31,8 @@ type frame = {
       (** oldest first; any subset in any order may have landed *)
 }
 
-type violation = {
-  v_blkno : int;  (** the block read back while unflushed *)
-  v_read_seq : int;  (** wseq of the unflushed content read *)
-  v_write_blkno : int;  (** the dependent write issued barrier-free *)
-  v_write_seq : int;
-}
+type violation = Ksim.Ktrace.order_violation
+(** Named after the cache; sequence numbers are wseqs. *)
 
 val create :
   ?name:string ->
@@ -103,26 +99,13 @@ val take_durable : t -> entry list
 val audit : t -> violation list
 (** Ordering violations observed so far, oldest first (bounded at 64;
     {!ordering_violations} has the true count).  Each also emitted an
-    ["incident"] trace event, feeding the Audit/UNSOUND reconciliation. *)
+    ["incident"] trace event, feeding the Audit/UNSOUND reconciliation,
+    and is exported with the cache's name through the runtime fact sink
+    ({!Ksim.Ktrace.Order_violation}), which kdur's static R16 findings
+    are checked against.  The sink holds no cache, so caches stay
+    collectable and their violations outlive them. *)
 
 val ordering_violations : t -> int
-
-val append_violations_to_file : t -> path:string -> unit
-(** Append this cache's recorded audit violations to [path], one
-    ["name\tblkno\tread_seq\twrite_blkno\twrite_seq"] line each — the
-    wire format klint's kdur reconciliation ([--wcache-violations])
-    consumes.  No-op when the audit is clean. *)
-
-val exported_violations : unit -> (string * violation) list
-(** Every violation recorded in this process (bounded per cache as
-    {!audit}), oldest first, with its cache's name.  The sink holds no
-    cache, so caches stay collectable and their violations outlive them. *)
-
-val export_env : string
-(** ["KSIM_WCACHE_EXPORT"].  When set to a file path, every process
-    appends {!exported_violations} there at exit; scripts/ci.sh sets it
-    across [dune runtest] so kdur's static R16 findings are checked
-    against every violation the suite actually provoked. *)
 
 (** {1 Counters} *)
 

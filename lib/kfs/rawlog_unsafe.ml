@@ -8,8 +8,9 @@
    kdur rule, grandfathered in ratchet.baseline, and [append_chained] is
    also the runtime counterpart — driven over a {!Kblock.Wcache} named
    ["rawlog_unsafe"] it provokes the audit's read-back-then-dependent-
-   write violation, which the KSIM_WCACHE_EXPORT reconciliation then
-   matches against the static R16 finding in this file.
+   write violation, which the runtime fact sink ([KSIM_TRACE]) exports
+   and klint's [--runtime-events] reconciliation matches against the
+   static R16 finding in this file.
 
    Specimens:
    - [append]          @orders_after contract (correct, volatile by design)

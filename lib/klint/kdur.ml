@@ -11,13 +11,14 @@
    stated once and checked against every caller.
 
    The second output is the runtime reconciliation: {!Kblock.Wcache}
-   dumps its barrier-discipline audit (read-back-then-dependent-write
-   violations) when [KSIM_WCACHE_EXPORT] is set, and
-   [unflagged_wcache_violations] subtracts kdur's static R16 findings —
-   any runtime violation in a linted file that kdur did not flag
-   statically is an unsoundness (an ordering path the syntactic analysis
-   failed to see) and fails CI, exactly like kracer's lock-graph and
-   kown's kmem-event reconciliations.
+   exports its barrier-discipline audit (read-back-then-dependent-write
+   violations) through the runtime fact sink
+   ({!Ksim.Ktrace.Order_violation}), and [unflagged_wcache_violations]
+   subtracts kdur's static R16 findings — any runtime violation in a
+   linted file that kdur did not flag statically is an unsoundness (an
+   ordering path the syntactic analysis failed to see) and fails CI,
+   exactly like kracer's lock-graph and kown's kmem-event
+   reconciliations.
 
    R16–R18 ratchet by per-(rule, file) count (the [dur] section of
    ratchet.baseline), not by the ladder reconciliation: the
@@ -100,52 +101,6 @@ let analyze_tree ~root =
 
 (* Runtime reconciliation --------------------------------------------------- *)
 
-type wcache_violation = {
-  cache : string;
-  v_blkno : int;
-  v_read_seq : int;
-  v_write_blkno : int;
-  v_write_seq : int;
-}
-
-(* "name\tblkno\tread_seq\twrite_blkno\twrite_seq" per line, the format
-   [Wcache]'s [KSIM_WCACHE_EXPORT] at_exit hook writes.  Unparseable
-   lines are errors — a truncated export must not pass reconciliation by
-   vacuity. *)
-let read_wcache_violations path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> loop acc
-        | line -> (
-            match String.split_on_char '\t' line with
-            | [ cache; a; b; c; d ] -> (
-                match
-                  ( int_of_string_opt a, int_of_string_opt b, int_of_string_opt c,
-                    int_of_string_opt d )
-                with
-                | Some v_blkno, Some v_read_seq, Some v_write_blkno, Some v_write_seq ->
-                    loop
-                      ({ cache; v_blkno; v_read_seq; v_write_blkno; v_write_seq } :: acc)
-                | _ -> Error (Fmt.str "%s: malformed wcache violation line %S" path line))
-            | _ -> Error (Fmt.str "%s: malformed wcache violation line %S" path line))
-      in
-      loop [])
-
-(* A cache is attributed to the linted file whose module basename equals
-   the cache name ([~name:"rawlog_unsafe"] -> [lib/kfs/rawlog_unsafe.ml]);
-   caches with no such file (test-local scratch caches, default-named
-   stacks) cannot correspond to a static finding and are skipped, as are
-   caches naming a mechanism file kdur excludes by design. *)
-let file_of_cache ~files cache =
-  List.find_opt
-    (fun rel -> String.equal (Filename.remove_extension (Filename.basename rel)) cache)
-    files
-
 (* Aggregate runtime violations by cache and subtract the static
    findings: a cache survives — [(cache, file, count)] — when its file
    has no static R16 finding at all.  Audit violations carry block
@@ -155,15 +110,16 @@ let file_of_cache ~files cache =
 let unflagged_wcache_violations ~files ~findings events =
   let agg = Hashtbl.create 16 in
   List.iter
-    (fun ev ->
+    (fun (ev : Ksim.Ktrace.order_violation) ->
       Hashtbl.replace agg ev.cache
         (1 + Option.value ~default:0 (Hashtbl.find_opt agg ev.cache)))
     events;
   Hashtbl.fold (fun cache n acc -> (cache, n) :: acc) agg []
   |> List.sort compare
   |> List.filter_map (fun (cache, n) ->
-         match file_of_cache ~files cache with
+         match Loc.file_of_module ~files cache with
          | None -> None
+         (* a cache named after a mechanism file kdur excludes by design *)
          | Some file when excluded file -> None
          | Some file ->
              if

@@ -55,3 +55,17 @@ let find_root ?start () =
       if String.equal parent dir then None else up parent
   in
   up (match start with Some d -> d | None -> Sys.getcwd ())
+
+(* The kinds of fact a [--runtime-events] file holds none of, as the
+   failure names them.  A reconciliation over no facts passes vacuously,
+   so a missing kind is a broken capture, not a clean one; the suite
+   provides at least one of each (the rawlog_unsafe fixture in
+   test_wcache, the order violation). *)
+let missing_runtime_kinds facts =
+  List.filter_map
+    (fun (kind, is_kind) -> if List.exists is_kind facts then None else Some kind)
+    [
+      ("lock edges", function Ksim.Ktrace.Lock_edge _ -> true | _ -> false);
+      ("kmem events", function Ksim.Ktrace.Heap_event _ -> true | _ -> false);
+      ("wcache violations", function Ksim.Ktrace.Order_violation _ -> true | _ -> false);
+    ]

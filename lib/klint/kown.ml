@@ -9,13 +9,13 @@
    inference where present, so a contract can be stated once and checked
    against every caller.
 
-   The second output is the runtime reconciliation: {!Ksim.Kmem} dumps
-   heap events (use-after-free, double-free, leak sites) when
-   [KSIM_KMEM_EXPORT] is set, and [unflagged_kmem_events] subtracts
-   kown's static findings — any runtime event in a linted file that kown
-   did not flag statically is an unsoundness (a lifetime path the
-   syntactic analysis failed to see) and fails CI, exactly like kracer's
-   lock-graph reconciliation. *)
+   The second output is the runtime reconciliation: {!Ksim.Kmem} exports
+   heap events (use-after-free, double-free, leak sites) through the
+   runtime fact sink ({!Ksim.Ktrace.Heap_event}), and
+   [unflagged_kmem_events] subtracts kown's static findings — any
+   runtime event in a linted file that kown did not flag statically is
+   an unsoundness (a lifetime path the syntactic analysis failed to see)
+   and fails CI, exactly like kracer's lock-graph reconciliation. *)
 
 type result = {
   findings : Finding.t list;
@@ -68,44 +68,11 @@ let analyze_tree ~root =
 
 (* Runtime reconciliation --------------------------------------------------- *)
 
-type kmem_event = { kind : string; heap : string; site : string; count : int }
-
-(* "kind\theap\tsite\tcount" per line, the format [Kmem]'s
-   [KSIM_KMEM_EXPORT] at_exit hook writes.  Unparseable lines are errors
-   — a truncated export must not pass reconciliation by vacuity. *)
-let read_kmem_events path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> loop acc
-        | line -> (
-            match String.split_on_char '\t' line with
-            | [ kind; heap; site; count ] -> (
-                match int_of_string_opt count with
-                | Some count -> loop ({ kind; heap; site; count } :: acc)
-                | None -> Error (Fmt.str "%s: malformed kmem event line %S" path line))
-            | _ -> Error (Fmt.str "%s: malformed kmem event line %S" path line))
-      in
-      loop [])
-
 let rule_of_kind = function
   | "uaf" -> Some Finding.R8_use_after_free
   | "double_free" -> Some Finding.R9_double_free
   | "leak" -> Some Finding.R10_error_leak
   | _ -> None
-
-(* A heap is attributed to the linted file whose module basename equals
-   the heap name ([~name:"memfs_unsafe"] -> [lib/kfs/memfs_unsafe.ml]);
-   heaps with no such file (test-local scratch heaps) cannot correspond
-   to a static finding and are skipped. *)
-let file_of_heap ~files heap =
-  List.find_opt
-    (fun rel -> String.equal (Filename.remove_extension (Filename.basename rel)) heap)
-    files
 
 (* Aggregate runtime events by (kind, heap) and subtract the static
    findings: an event survives — [(event, file, rule)] — when its file
@@ -114,21 +81,21 @@ let file_of_heap ~files heap =
    (rule, file): the static analysis must have *something* to say about
    that failure mode in that file, baselined or not. *)
 let unflagged_kmem_events ~files ~findings events =
-  let agg = Hashtbl.create 16 in
+  let agg : (_, Ksim.Ktrace.heap_event) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun ev ->
+    (fun (ev : Ksim.Ktrace.heap_event) ->
       let key = (ev.kind, ev.heap) in
       match Hashtbl.find_opt agg key with
       | Some prior -> Hashtbl.replace agg key { prior with count = prior.count + ev.count }
       | None -> Hashtbl.replace agg key ev)
     events;
   Hashtbl.fold (fun _ ev acc -> ev :: acc) agg []
-  |> List.sort (fun a b -> compare (a.kind, a.heap) (b.kind, b.heap))
-  |> List.filter_map (fun ev ->
+  |> List.sort (fun (a : Ksim.Ktrace.heap_event) b -> compare (a.kind, a.heap) (b.kind, b.heap))
+  |> List.filter_map (fun (ev : Ksim.Ktrace.heap_event) ->
          match rule_of_kind ev.kind with
          | None -> None
          | Some rule -> (
-             match file_of_heap ~files ev.heap with
+             match Loc.file_of_module ~files ev.heap with
              | None -> None
              | Some file ->
                  if

@@ -305,34 +305,18 @@ let analyze_tree ~root =
 
 (* Reconciliation ---------------------------------------------------------- *)
 
-(* Runtime edges arrive as instance names ([i_lock:3]); collapse to
-   classes and subtract the static graph.  Anything left is a lock
-   ordering the tests exercised that the static analysis missed —
-   unsoundness, not a style nit, hence CI-fatal. *)
-let missing_runtime_edges ~static runtime =
+(* Runtime edges arrive as instance names ([i_lock:3]); the class-level
+   edge set is what the reconciliation checks (and counts). *)
+let runtime_class_edges runtime =
   runtime
   |> List.map (fun (a, b) -> (Annot.lock_class a, Annot.lock_class b))
   |> List.sort_uniq compare
-  |> List.filter (fun e -> not (List.mem e static))
 
-(* "held acquired" per line, the format [Lockdep.append_edges_to_file]
-   writes.  Unparseable lines are errors — a truncated export must not
-   pass reconciliation by vacuity. *)
-let read_runtime_edges path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.sort_uniq compare (List.rev acc))
-        | "" -> loop acc
-        | line -> (
-            match String.split_on_char ' ' (String.trim line) with
-            | [ a; b ] -> loop ((a, b) :: acc)
-            | _ -> Error (Fmt.str "%s: malformed lockdep edge line %S" path line))
-      in
-      loop [])
+(* Subtract the static graph from the runtime class edges.  Anything left
+   is a lock ordering the tests exercised that the static analysis
+   missed — unsoundness, not a style nit, hence CI-fatal. *)
+let missing_runtime_edges ~static runtime =
+  List.filter (fun e -> not (List.mem e static)) (runtime_class_edges runtime)
 
 let dot_of_edges edges =
   let buf = Buffer.create 256 in

@@ -371,13 +371,13 @@ let priced ~result file =
   Frame.in_frame file
   || List.exists (fun (f : Finding.t) -> String.equal f.Finding.file file) result.findings
 
-(* Raw heap events ([KSIM_KMEM_EXPORT]) from a module the metric
+(* Raw heap events ({!Ksim.Ktrace.Heap_event}) from a module the metric
    classifies as frame-free: the static confinement claim is UNSOUND —
    same CI contract as kracer's and kown's reconciliations. *)
 let unsound_kmem_events ~files ~result events =
   List.filter_map
-    (fun (ev : Kown.kmem_event) ->
-      match Kown.file_of_heap ~files ev.Kown.heap with
+    (fun (ev : Ksim.Ktrace.heap_event) ->
+      match Loc.file_of_module ~files ev.heap with
       | None -> None (* test-local scratch heap, no corresponding module *)
       | Some file -> if priced ~result file then None else Some (ev, file))
     events

@@ -84,3 +84,12 @@ let loc_of_dir ~root path =
          (fun acc rel -> acc + count_file (Filename.concat root rel))
          0
          (ml_files_under ~root path))
+
+(* The linted file whose module basename is [name]: how a runtime heap or
+   cache, named after the module that built it ([~name:"memfs_unsafe"] ->
+   [lib/kfs/memfs_unsafe.ml]), is attributed to source.  Names with no
+   such file (test-local scratch heaps and caches) match nothing. *)
+let file_of_module ~files name =
+  List.find_opt
+    (fun rel -> String.equal (Filename.remove_extension (Filename.basename rel)) name)
+    files

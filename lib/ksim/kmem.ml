@@ -40,7 +40,7 @@ and events = {
 }
 
 (* The events of every heap that has seen one, newest first: what the
-   [KSIM_KMEM_EXPORT] hook writes.  A heap joins at its first event. *)
+   runtime fact sink exports.  A heap joins at its first event. *)
 let sink : events list ref = ref []
 
 let create ?(strict = true) ~name () =
@@ -146,33 +146,16 @@ let pp_report ppf heap =
   Fmt.pf ppf "heap %s: allocated=%d freed=%d live=%d uaf=%d double_free=%d" heap.events.heap_name
     heap.allocated heap.freed (live_count heap) heap.uaf_events heap.double_free_events
 
-(* Runtime event export ---------------------------------------------------- *)
-
-let exported_events () =
-  List.concat_map
-    (fun ev ->
-      let row kind (site, n) = (kind, ev.heap_name, site, n) in
-      List.sort compare (Hashtbl.fold (fun (k, s) n acc -> row k (s, n) :: acc) ev.counts [])
-      @ List.map (row "leak") ev.reported_leaks)
-    (List.rev !sink)
-
-let export_env = "KSIM_KMEM_EXPORT"
-
-(* When [KSIM_KMEM_EXPORT] names a file, every process appends the sink
-   there on exit, one "kind\theap\tsite\tcount" line per row (the wire
-   format klint's kown reconciliation, [--kmem-events], consumes):
-   `scripts/ci.sh` sets it across `dune runtest` so kown can check its
-   static R8-R11 findings against every heap event the suite observed. *)
+(* The heap-event source of the runtime fact sink: per allocation site of
+   every heap that has seen an event, use-after-free and double-free
+   counts as detected, then its latest leak snapshot. *)
 let () =
-  match Sys.getenv_opt export_env with
-  | Some path when path <> "" ->
-      at_exit (fun () ->
-          match exported_events () with
-          | [] -> ()
-          | rows -> (
-              try
-                let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-                List.iter (fun (k, h, s, n) -> Printf.fprintf oc "%s\t%s\t%s\t%d\n" k h s n) rows;
-                close_out oc
-              with Sys_error _ -> ()))
-  | Some _ | None -> ()
+  Ktrace.register_source (fun () ->
+      List.concat_map
+        (fun ev ->
+          let fact kind (site, count) =
+            Ktrace.Heap_event { kind; heap = ev.heap_name; site; count }
+          in
+          List.sort compare (Hashtbl.fold (fun (k, s) n acc -> fact k (s, n) :: acc) ev.counts [])
+          @ List.map (fact "leak") ev.reported_leaks)
+        (List.rev !sink))

@@ -3,7 +3,13 @@
     The classic C memory bugs — use-after-free, double-free, leaks — become
     observable events.  Unsafe modules (roadmap steps 0–2) manage lifetimes
     through this allocator by hand; the point of roadmap step 3 is that a
-    whole class of these events becomes impossible by construction. *)
+    whole class of these events becomes impossible by construction.
+
+    Every heap's use-after-free and double-free counts, kept as detected,
+    and its latest {!leaks} snapshot are exported per allocation site
+    through the runtime fact sink ({!Ktrace.Heap_event}), the granularity
+    kown's static/runtime reconciliation keys on.  The sink holds no
+    heap, so heaps stay collectable and their events outlive them. *)
 
 exception Use_after_free of { site : string; id : int }
 exception Double_free of { site : string; id : int }
@@ -46,16 +52,3 @@ val leaks : t -> leak list
 (** Objects still live, i.e. leaked if the owning module claims quiescence. *)
 
 val pp_report : Format.formatter -> t -> unit
-
-val exported_events : unit -> (string * string * string * int) list
-(** [(kind, heap, site, count)] per allocation site of every heap in this
-    process: use-after-free and double-free counts, kept as detected, and
-    each heap's latest {!leaks} snapshot — the granularity the
-    static/runtime reconciliation keys on.  The process sink holding them
-    holds no heap, so heaps stay collectable and their events outlive them. *)
-
-val export_env : string
-(** ["KSIM_KMEM_EXPORT"]: when set to a file path, {!exported_events}
-    are appended there at process exit, one "kind\theap\tsite\tcount"
-    line each — the format [klint --kmem-events] reconciles against
-    kown's static findings. *)

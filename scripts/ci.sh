@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1 gate: build, full test suite with runtime lock-order, heap and
-# barrier-violation capture, a seeded fault-injection torture smoke run,
-# the refine smoke, and finally one klint run: the static lint, every
-# section of the ratchet, and the static/runtime reconciliations. The
+# barrier-violation capture into one facts file, a seeded fault-injection
+# torture smoke run, the refine smoke, and finally one klint run: the
+# static lint, every section of the ratchet, and the static/runtime
+# reconciliations. The
 # torture suite drives the journalfs stack through Flakydev faults under
 # fixed seeds and checks that every crash/recovery lands in a
 # spec-allowed state — it must stay green before any merge.
@@ -12,26 +13,15 @@ cd "$(dirname "$0")/.."
 echo "== ci: dune build =="
 dune build
 
-# Every test binary from here on appends the lock-order edges it
-# observed to this file; kracer checks them against its static graph at
-# the end.  --force so cached (skipped) tests cannot leave holes.
-LOCKDEP_EDGES="$(pwd)/_build/lockdep-edges.txt"
-rm -f "$LOCKDEP_EDGES"
-export KSIM_LOCKDEP_EXPORT="$LOCKDEP_EDGES"
-
-# Likewise for heap events (use-after-free, double-free, leak sites):
-# kown checks at the end that everything the tests observed at runtime
-# was already flagged statically.
-KMEM_EVENTS="$(pwd)/_build/kmem-events.txt"
-rm -f "$KMEM_EVENTS"
-export KSIM_KMEM_EXPORT="$KMEM_EVENTS"
-
-# And for barrier-discipline violations: every Wcache audit hit the
-# tests provoke is dumped here, and kdur checks at the end that each one
-# (in a linted file) was already flagged as a static R16.
-WCACHE_VIOLATIONS="$(pwd)/_build/wcache-violations.txt"
-rm -f "$WCACHE_VIOLATIONS"
-export KSIM_WCACHE_EXPORT="$WCACHE_VIOLATIONS"
+# Every test binary from here on appends its runtime facts to this one
+# file on exit (Ksim.Ktrace's sink): the lock-order edges lockdep
+# observed, the heap events (use-after-free, double-free, leak sites)
+# and the Wcache barrier-discipline violations.  klint checks at the end
+# that kracer, kown and kdur had already seen each one statically.
+# --force so cached (skipped) tests cannot leave holes.
+RUNTIME_EVENTS="$(pwd)/_build/runtime-events.txt"
+rm -f "$RUNTIME_EVENTS"
+export KSIM_TRACE="$RUNTIME_EVENTS"
 
 echo "== ci: dune runtest =="
 dune runtest --force
@@ -85,23 +75,11 @@ dune exec bin/safeos.exe -- refine --all --seed "$refine_seed" --ops 10000 \
 KSIM_REFINE_SEEDS="${KSIM_REFINE_SEEDS:-11}" dune exec test/test_krefine.exe -- test harnesses
 
 echo "== ci: klint (lint, ratchet, static/runtime reconciliations) =="
-# An empty export means the capture hook is broken: vacuous soundness is
-# a fail.  The rawlog_unsafe fixture in test_wcache guarantees at least
-# one named-cache barrier violation.
-if [ ! -s "$LOCKDEP_EDGES" ]; then
-  echo "ci: FAIL — no runtime lock edges were exported; the capture is broken" >&2
-  exit 1
-fi
-if [ ! -s "$KMEM_EVENTS" ]; then
-  echo "ci: FAIL — no runtime kmem events were exported; the capture is broken" >&2
-  exit 1
-fi
-if [ ! -s "$WCACHE_VIOLATIONS" ]; then
-  echo "ci: FAIL — no runtime wcache violations were exported; the capture is broken" >&2
-  exit 1
-fi
-set -- --root . --refine-coverage "$REFINE_COVERAGE" --lockdep-edges "$LOCKDEP_EDGES" \
-  --kmem-events "$KMEM_EVENTS" --wcache-violations "$WCACHE_VIOLATIONS"
+# klint fails the run when the file holds no fact of some kind: an empty
+# capture would make that reconciliation pass vacuously.  The
+# rawlog_unsafe fixture in test_wcache guarantees at least one named-cache
+# barrier violation.
+set -- --root . --refine-coverage "$REFINE_COVERAGE" --runtime-events "$RUNTIME_EVENTS"
 # The head copy ratchet.baseline is judged against: HEAD's when the
 # working file differs from it (an uncommitted change), else HEAD~1's
 # (the change the checked-out commit made).

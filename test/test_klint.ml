@@ -274,7 +274,37 @@ let test_kracer_runtime_reconciliation () =
     Alcotest.(list (pair string string))
     "an unseen ordering surfaces" [ ("i_lock", "j_lock") ]
     (Klint.Kracer.missing_runtime_edges ~static
-       [ ("s_lock", "i_lock:3"); ("i_lock:3", "j_lock:1") ])
+       [ ("s_lock", "i_lock:3"); ("i_lock:3", "j_lock:1") ]);
+  check Alcotest.int "instances of one class pair count as one edge" 1
+    (List.length (Klint.Kracer.runtime_class_edges [ ("i_lock:3", "x"); ("i_lock:4", "x") ]))
+
+let test_runtime_events_missing_kind () =
+  (* A runtime-events file that lacks a kind of fact leaves that kind's
+     reconciliation vacuous: klint names the kind as a broken capture. *)
+  let open Ksim.Ktrace in
+  let path = Filename.temp_file "klint" ".facts" in
+  Sys.remove path;
+  write_facts path
+    [
+      Lock_edge { held = "s_lock"; acquired = "i_lock:3" };
+      Heap_event { kind = "uaf"; heap = "memfs_unsafe"; site = "/a"; count = 1 };
+    ];
+  let missing () =
+    match read_facts path with
+    | Ok facts -> Klint.missing_runtime_kinds facts
+    | Error msg -> Alcotest.fail msg
+  in
+  check Alcotest.(list string) "the absent kind is named" [ "wcache violations" ] (missing ());
+  write_facts path
+    [
+      Order_violation
+        { cache = "rawlog_unsafe"; blkno = 1; read_seq = 0; write_blkno = 2; write_seq = 1 };
+    ];
+  check Alcotest.(list string) "every kind present" [] (missing ());
+  Sys.remove path;
+  check Alcotest.(list string) "an empty capture names all three"
+    [ "lock edges"; "kmem events"; "wcache violations" ]
+    (Klint.missing_runtime_kinds [])
 
 let test_kracer_mli_annotation () =
   (* Contracts may live on the .mli val instead of the .ml binding. *)
@@ -473,24 +503,6 @@ let test_kown_mli_annotation () =
     (List.hd tree.E.findings).F.func
 
 let test_kown_kmem_events () =
-  let write_tmp content =
-    let path = Filename.temp_file "kmem" ".events" in
-    let oc = open_out_bin path in
-    output_string oc content;
-    close_out oc;
-    path
-  in
-  (* parse: well-formed lines load, a malformed line is a hard error so a
-     truncated export cannot pass reconciliation by vacuity *)
-  (match
-     Klint.Kown.read_kmem_events
-       (write_tmp "uaf\town_ev\tsite-a\t2\n\nleak\town_ev\tsite-b\t1\n")
-   with
-  | Ok evs -> check Alcotest.int "events parsed, blank line skipped" 2 (List.length evs)
-  | Error msg -> Alcotest.fail msg);
-  (match Klint.Kown.read_kmem_events (write_tmp "uaf own_ev site-a 2\n") with
-  | Ok _ -> Alcotest.fail "malformed line accepted"
-  | Error _ -> ());
   (* subtraction: an event whose file already has a static finding of the
      matching rule is covered; one without is the unsound residue; heaps
      with no linted file (test scratch heaps) are skipped *)
@@ -499,7 +511,7 @@ let test_kown_kmem_events () =
       [ ("lib/fixture/own_ev.ml", "let f p = Ksim.Kmem.free p; Ksim.Kmem.read p\n") ]
   in
   check ids "fixture carries the R8" [ "R8" ] (rule_ids tree.E.findings);
-  let ev kind heap = { Klint.Kown.kind; heap; site = "s"; count = 1 } in
+  let ev kind heap = { Ksim.Ktrace.kind; heap; site = "s"; count = 1 } in
   let survivors =
     Klint.Kown.unflagged_kmem_events
       ~files:[ "lib/fixture/own_ev.ml" ]
@@ -511,7 +523,7 @@ let test_kown_kmem_events () =
       check Alcotest.string "unflagged event attributed to the file" "lib/fixture/own_ev.ml"
         file;
       check Alcotest.string "double_free maps to R9" "R9" (F.rule_id rule);
-      check Alcotest.string "the surviving kind" "double_free" e.Klint.Kown.kind
+      check Alcotest.string "the surviving kind" "double_free" e.Ksim.Ktrace.kind
   | l -> Alcotest.fail (Fmt.str "expected one unflagged event, got %d" (List.length l))
 
 let test_kown_reconcile_ownership_claim () =
@@ -962,7 +974,7 @@ let test_ktcb_runtime_reconciliation () =
     (K.unsound_lock_edges ~result:k ~static_classes:[ "fix_lock" ]
        [ ("fix_lock", "other_lock") ]);
   let files = [ "lib/fixture/locker.ml"; "lib/fixture/svc.ml" ] in
-  let ev heap = { Klint.Kown.kind = "leak"; heap; site = "s"; count = 1 } in
+  let ev heap = { Ksim.Ktrace.kind = "leak"; heap; site = "s"; count = 1 } in
   (match K.unsound_kmem_events ~files ~result:k [ ev "locker" ] with
   | [ (_, file) ] ->
       check Alcotest.string "heap event attributed to the frame-free file"
@@ -1100,32 +1112,11 @@ let test_kdur_r18_obligation_dropped () =
   check ids "a flushing callee leaves nothing to forward" [] (kdur_ids mixed.E.kdur)
 
 let test_kdur_wcache_reconciliation () =
-  (* The runtime closure: export lines parse (malformed ones are hard
-     errors), caches attribute to linted files by module basename, and a
-     violation survives only when its file has no static R16 at all. *)
-  let path = Filename.temp_file "kdur_wv" ".txt" in
-  let oc = open_out path in
-  output_string oc "rawlog_unsafe\t1\t5\t2\t6\n\nwc\t3\t1\t4\t2\n";
-  close_out oc;
-  (match D.read_wcache_violations path with
-  | Ok [ a; b ] ->
-      check Alcotest.string "cache" "rawlog_unsafe" a.D.cache;
-      check Alcotest.int "read block" 1 a.D.v_blkno;
-      check Alcotest.int "read seq" 5 a.D.v_read_seq;
-      check Alcotest.int "write block" 2 a.D.v_write_blkno;
-      check Alcotest.int "write seq" 6 a.D.v_write_seq;
-      check Alcotest.string "blank lines skipped, second entry kept" "wc" b.D.cache
-  | Ok other -> Alcotest.failf "expected two violations, got %d" (List.length other)
-  | Error msg -> Alcotest.fail msg);
-  let oc = open_out path in
-  output_string oc "rawlog_unsafe\t1\t5\tnope\t6\n";
-  close_out oc;
-  (match D.read_wcache_violations path with
-  | Ok _ -> Alcotest.fail "malformed line parsed"
-  | Error _ -> ());
-  Sys.remove path;
+  (* The runtime closure: caches attribute to linted files by module
+     basename, and a violation survives only when its file has no static
+     R16 at all. *)
   let files = [ "lib/kfs/rawlog_unsafe.ml"; "lib/kblock/wcache.ml" ] in
-  let ev cache = { D.cache; v_blkno = 1; v_read_seq = 1; v_write_blkno = 2; v_write_seq = 2 } in
+  let ev cache = { Ksim.Ktrace.cache; blkno = 1; read_seq = 1; write_blkno = 2; write_seq = 2 } in
   let r16 =
     {
       F.rule = F.R16_unordered_write;
@@ -1307,7 +1298,7 @@ let test_ktcb_shipped_tree () =
         (k.K.unsafe_loc * 2 < k.K.total_loc);
       (* runtime heap traffic from the frame's own allocator is priced *)
       let files = Klint.Loc.ml_files_under ~root "lib" in
-      let ev = { Klint.Kown.kind = "free"; heap = "kmem"; site = "s"; count = 1 } in
+      let ev = { Ksim.Ktrace.kind = "free"; heap = "kmem"; site = "s"; count = 1 } in
       check Alcotest.int "frame heap traffic is priced" 0
         (List.length (K.unsound_kmem_events ~files ~result:k [ ev ])))
 
@@ -1882,6 +1873,8 @@ let () =
           Alcotest.test_case "cast under type-safe claim" `Quick test_reconcile_cast_violation;
           Alcotest.test_case "unbalanced lock under ownership claim" `Quick
             test_reconcile_lock_violation;
+          Alcotest.test_case "runtime events name a missing kind" `Quick
+            test_runtime_events_missing_kind;
         ] );
       ( "baseline",
         [

@@ -161,12 +161,19 @@ let test_kmem_heap_collectable () =
   let w = dropped_heap () in
   Gc.full_major ();
   check Alcotest.bool "heap collected after use" false (Weak.check w 0);
-  let rows = List.filter (fun (_, h, _, _) -> h = "kmem-gc-probe") (Ksim.Kmem.exported_events ()) in
+  let rows =
+    List.filter_map
+      (function
+        | Ksim.Ktrace.Heap_event { kind; heap = "kmem-gc-probe"; site; count } ->
+            Some (kind, (site, count))
+        | _ -> None)
+      (Ksim.Ktrace.facts ())
+  in
   check
     Alcotest.(list (pair string (pair string int)))
     "the collected heap's events are still exported"
     [ ("uaf", ("probe-uaf", 1)); ("leak", ("probe-leak", 1)) ]
-    (List.map (fun (k, _, s, n) -> (k, (s, n))) rows)
+    rows
 
 (* Klock ------------------------------------------------------------------- *)
 
@@ -301,22 +308,16 @@ let test_lockdep_edges_export () =
     "deterministic edge list"
     [ ("A", "B"); ("A", "C"); ("B", "C") ]
     (Ksim.Lockdep.edges dep);
-  let dot = Ksim.Lockdep.dump_dot dep in
-  check Alcotest.bool "dot names the graph" true
-    (String.length dot > 0 && String.sub dot 0 16 = "digraph lockdep ");
-  (* the wire format the kracer reconciliation reads back *)
-  let path = Filename.temp_file "lockdep" ".txt" in
-  Sys.remove path;
-  Ksim.Lockdep.append_edges_to_file dep ~path;
-  Ksim.Lockdep.append_edges_to_file dep ~path;
-  let ic = open_in path in
-  let rec slurp acc =
-    match input_line ic with line -> slurp (line :: acc) | exception End_of_file -> List.rev acc
-  in
-  let lines = slurp [] in
-  close_in ic;
-  check Alcotest.int "append mode accumulates" 6 (List.length lines);
-  check Alcotest.string "held-acquired pairs, space separated" "A B" (List.hd lines)
+  (* the process-wide graph is what the runtime fact sink exports *)
+  check
+    Alcotest.(list (pair string string))
+    "global edges are the exported lock edges"
+    (Ksim.Lockdep.edges Ksim.Lockdep.global)
+    (List.filter_map
+       (function
+         | Ksim.Ktrace.Lock_edge e -> Some (e.held, e.acquired)
+         | _ -> None)
+       (Ksim.Ktrace.facts ()))
 
 let test_lockdep_release_out_of_order () =
   (* A held, B acquired, A released first: acquiring C now must record
@@ -473,6 +474,57 @@ let test_trace_basic () =
   check Alcotest.int "total still counts" 4 (Ksim.Ktrace.total tr);
   Ksim.Ktrace.clear tr;
   check Alcotest.int "cleared" 0 (Ksim.Ktrace.total tr)
+
+(* The runtime fact sink's one wire format: every kind round-trips through
+   the writer and the strict reader, and anything that is not exactly one
+   fact per line is rejected with its path and line number. *)
+let test_ktrace_facts_roundtrip () =
+  let open Ksim.Ktrace in
+  let facts =
+    [
+      Lock_edge { held = "A"; acquired = "B" };
+      Heap_event { kind = "uaf"; heap = "own_ev"; site = "site-a"; count = 2 };
+      Order_violation
+        { cache = "rawlog_unsafe"; blkno = 1; read_seq = 5; write_blkno = 2; write_seq = 6 };
+    ]
+  in
+  let path = Filename.temp_file "ktrace" ".facts" in
+  Sys.remove path;
+  write_facts path [];
+  check Alcotest.bool "no facts, no file" false (Sys.file_exists path);
+  write_facts path facts;
+  write_facts path facts;
+  let lines =
+    "lock_edge\tA\tB\nheap\tuaf\town_ev\tsite-a\t2\norder\trawlog_unsafe\t1\t5\t2\t6\n"
+  in
+  check Alcotest.string "one tagged, tab-separated line per fact; append mode accumulates"
+    (lines ^ lines)
+    (In_channel.with_open_bin path In_channel.input_all);
+  check Alcotest.bool "every field of every kind reads back" true
+    (read_facts path = Ok (facts @ facts));
+  let with_content content f =
+    Out_channel.with_open_bin path (fun oc -> output_string oc content);
+    f (read_facts path)
+  in
+  with_content ("\n" ^ lines ^ "\n" ^ lines) (fun r ->
+      check Alcotest.bool "blank lines skipped" true (r = Ok (facts @ facts)));
+  let rejects what ~line content =
+    with_content content (function
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error msg ->
+          let at = Printf.sprintf "%s:%d:" path line in
+          check Alcotest.bool (what ^ " names path and line") true
+            (String.starts_with ~prefix:at msg))
+  in
+  rejects "unknown tag" ~line:1 "lockdep\tA\tB\n";
+  rejects "untagged line" ~line:1 "A B\n";
+  rejects "too few fields" ~line:2 "lock_edge\tA\tB\nheap\tuaf\town_ev\tsite-a\n";
+  rejects "too many fields" ~line:1 "order\tc\t1\t5\t2\t6\t7\n";
+  rejects "non-integer field" ~line:1 "order\trawlog_unsafe\t1\t5\tnope\t6\n";
+  rejects "non-integer count" ~line:1 "heap\tuaf\th\ts\tx\n";
+  rejects "truncated last line" ~line:4 (lines ^ "order\tc\t1\t5\t");
+  Sys.remove path;
+  check Alcotest.bool "missing file" true (Result.is_error (read_facts path))
 
 (* Rng ----------------------------------------------------------------------- *)
 
@@ -1198,7 +1250,11 @@ let () =
           Alcotest.test_case "livelock detected" `Quick test_scheduler_livelock_detected;
           Alcotest.test_case "lost update race" `Quick test_lost_update_race;
         ] );
-      ("ktrace", [ Alcotest.test_case "ring and counts" `Quick test_trace_basic ]);
+      ( "ktrace",
+        [
+          Alcotest.test_case "ring and counts" `Quick test_trace_basic;
+          Alcotest.test_case "facts round-trip" `Quick test_ktrace_facts_roundtrip;
+        ] );
       ( "rng",
         Alcotest.test_case "deterministic" `Quick test_rng_deterministic
         :: Alcotest.test_case "split independence" `Quick test_rng_split_independent

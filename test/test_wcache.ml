@@ -163,8 +163,8 @@ let test_audit_flags_barrier_free_dependency () =
   check int "violation" 1 (Kblock.Wcache.ordering_violations wc);
   (match Kblock.Wcache.audit wc with
   | [ v ] ->
-      check int "read block" 0 v.Kblock.Wcache.v_blkno;
-      check int "dependent write" 1 v.Kblock.Wcache.v_write_blkno
+      check int "read block" 0 v.Ksim.Ktrace.blkno;
+      check int "dependent write" 1 v.Ksim.Ktrace.write_blkno
   | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs));
   (* Same shape with an intervening barrier: clean. *)
   let wc2 = Kblock.Wcache.create (Kblock.Blockdev.io (mk_dev ())) in
@@ -182,11 +182,11 @@ let test_audit_flags_barrier_free_dependency () =
   check int "overwrite exempt" 0 (Kblock.Wcache.ordering_violations wc3)
 
 (* Drive the rawlog exhibit over a cache named after its file — the
-   dependent-write specimen must trip the runtime audit, and the export
-   must round-trip through klint's reconciliation reader.  Running this
-   under `dune runtest` with KSIM_WCACHE_EXPORT set (as ci.sh does) also
-   seeds the violations dump, making the ci reconciliation stage
-   non-vacuous. *)
+   dependent-write specimen must trip the runtime audit, and its
+   violations must reach a file through the runtime fact sink's exit
+   export.  Running this under `dune runtest` with KSIM_TRACE set (as
+   ci.sh does) also seeds the exported order violations, making the ci
+   reconciliation non-vacuous. *)
 let test_rawlog_reconciliation_fixture () =
   let dev = mk_dev () in
   let wc = Kblock.Wcache.create ~name:"rawlog_unsafe" (Kblock.Blockdev.io dev) in
@@ -198,21 +198,19 @@ let test_rawlog_reconciliation_fixture () =
   ok "commit (volatile ack)" (Kfs.Rawlog_unsafe.commit log);
   (match Kblock.Wcache.audit wc with
   | v :: _ ->
-      check int "read-back block" 1 v.Kblock.Wcache.v_blkno;
-      check int "dependent write block" 2 v.Kblock.Wcache.v_write_blkno
+      check Alcotest.string "named after its cache" "rawlog_unsafe" v.Ksim.Ktrace.cache;
+      check int "read-back block" 1 v.blkno;
+      check int "dependent write block" 2 v.write_blkno
   | [] -> Alcotest.fail "audit empty");
-  (* wire format: what the at_exit export writes, klint's reader parses *)
-  let path = Filename.temp_file "wcache_viol" ".txt" in
-  Kblock.Wcache.append_violations_to_file wc ~path;
-  (match Klint.Kdur.read_wcache_violations path with
-  | Ok (v :: _ as vs) ->
-      check int "every audit entry exported"
-        (List.length (Kblock.Wcache.audit wc))
-        (List.length vs);
-      check Alcotest.string "cache name on the wire" "rawlog_unsafe" v.Klint.Kdur.cache;
-      check int "read-back block on the wire" 1 v.Klint.Kdur.v_blkno;
-      check int "dependent write block on the wire" 2 v.Klint.Kdur.v_write_blkno
-  | Ok [] -> Alcotest.fail "no violations exported"
+  (* what the KSIM_TRACE exit hook does: every source's facts, appended *)
+  let path = Filename.temp_file "wcache_viol" ".facts" in
+  Ksim.Ktrace.write_facts path (Ksim.Ktrace.facts ());
+  (match Ksim.Ktrace.read_facts path with
+  | Ok facts ->
+      check Alcotest.bool "every audit entry exported, field for field" true
+        (List.for_all
+           (fun v -> List.mem (Ksim.Ktrace.Order_violation v) facts)
+           (Kblock.Wcache.audit wc))
   | Error msg -> Alcotest.fail msg);
   Sys.remove path
 
@@ -513,11 +511,15 @@ let test_violation_outlives_cache () =
   Gc.full_major ();
   check bool "violating cache collected" false (Weak.check w 0);
   match
-    List.filter (fun (n, _) -> n = "gc-probe-violation") (Kblock.Wcache.exported_violations ())
+    List.filter_map
+      (function
+        | Ksim.Ktrace.Order_violation v when v.Ksim.Ktrace.cache = "gc-probe-violation" -> Some v
+        | _ -> None)
+      (Ksim.Ktrace.facts ())
   with
-  | [ (_, v) ] ->
-      check int "read-back block" 0 v.Kblock.Wcache.v_blkno;
-      check int "dependent write block" 1 v.Kblock.Wcache.v_write_blkno
+  | [ v ] ->
+      check int "read-back block" 0 v.Ksim.Ktrace.blkno;
+      check int "dependent write block" 1 v.Ksim.Ktrace.write_blkno
   | l -> Alcotest.failf "expected one exported violation, got %d" (List.length l)
 
 (* Memory must not grow with run length: the journalfs harness over a
